@@ -9,7 +9,7 @@ skyline with and without compilation.
 
 import pytest
 
-from repro.engine.algorithms import block_nested_loops
+from repro.engine.algorithms import block_nested_loops, maximal_indices
 from repro.engine.compiled import compile_better, generic_better
 from repro.model.builder import build_preference
 from repro.sql.parser import parse_preferring
@@ -27,20 +27,7 @@ def setup():
 
 
 def bnl_with(better, n):
-    window = []
-    for i in range(n):
-        dominated = False
-        survivors = []
-        for j in window:
-            if better(j, i):
-                dominated = True
-                break
-            if not better(i, j):
-                survivors.append(j)
-        if not dominated:
-            survivors.append(i)
-            window = survivors
-    return sorted(window)
+    return sorted(block_nested_loops(better, range(n)))
 
 
 def test_bnl_compiled(benchmark):
@@ -48,11 +35,11 @@ def test_bnl_compiled(benchmark):
     better = compile_better(preference, vectors)
     assert better is not None
     indices = benchmark(lambda: bnl_with(better, len(vectors)))
-    assert indices == block_nested_loops(preference, vectors)
+    assert indices == maximal_indices(preference, vectors)
 
 
 def test_bnl_generic(benchmark):
     preference, vectors = setup()
     better = generic_better(preference, vectors)
     indices = benchmark(lambda: bnl_with(better, len(vectors)))
-    assert indices == block_nested_loops(preference, vectors)
+    assert indices == maximal_indices(preference, vectors)

@@ -32,18 +32,11 @@ def _grouped_inputs():
 def test_columnar_grouped_skyline(benchmark):
     _relation, preference, vectors, keys = _grouped_inputs()
     winners = benchmark(
-        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="sfs")
+        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="memory")
     )
-    assert winners
-
-
-def test_columnar_flavors_agree(benchmark):
-    _relation, preference, vectors, keys = _grouped_inputs()
-    sfs = bmo_filter(preference, vectors, group_keys=keys, algorithm="sfs")
-    bnl = benchmark(
-        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="bnl")
+    assert winners == bmo_filter(
+        preference, vectors, group_keys=keys, algorithm="parallel"
     )
-    assert bnl == sfs
 
 
 def test_sql_rank_pushdown_end_to_end(benchmark):
@@ -55,7 +48,7 @@ def test_sql_rank_pushdown_end_to_end(benchmark):
         f"SELECT * FROM jobs PREFERRING {preferring} "
         "GROUPING region, profession"
     )
-    plan = connection.plan(query, force="sfs")
+    plan = connection.plan(query, force="memory")
     assert plan.rank_source == "sql" and plan.rank_width
     oracle = sorted(
         connection.execute(query, algorithm="rewrite").fetchall(), key=repr

@@ -28,14 +28,14 @@ def _grouped_inputs():
 def test_serial_grouped_skyline(benchmark):
     preference, vectors, keys = _grouped_inputs()
     winners = benchmark(
-        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="bnl")
+        lambda: bmo_filter(preference, vectors, group_keys=keys, algorithm="memory")
     )
     assert winners
 
 
 def test_parallel_grouped_skyline(benchmark):
     preference, vectors, keys = _grouped_inputs()
-    serial = bmo_filter(preference, vectors, group_keys=keys, algorithm="bnl")
+    serial = bmo_filter(preference, vectors, group_keys=keys, algorithm="memory")
     winners = benchmark(
         lambda: bmo_filter(
             preference, vectors, group_keys=keys, algorithm="parallel"

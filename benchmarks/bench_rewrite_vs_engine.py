@@ -33,7 +33,7 @@ def test_sqlite_not_exists(benchmark, n):
 
 
 @pytest.mark.parametrize("n", [1000, 8000])
-def test_engine_bnl(benchmark, n):
+def test_engine_memory(benchmark, n):
     relation = make_relation(n)
     engine = PreferenceEngine({"points": relation})
     result = benchmark(lambda: engine.execute(SQL))

@@ -13,9 +13,13 @@ import time
 
 import repro
 from repro.bench.harness import Report, Table, time_call
-from repro.engine.algorithms import ALGORITHMS
+from repro.engine.algorithms import maximal_indices
 from repro.engine.bmo import PreferenceEngine
+from repro.errors import EvaluationError
 from repro.model.builder import build_preference
+from repro.model.categorical import ExplicitPreference, LayeredPreference
+from repro.model.composite import _Composite
+from repro.model.preference import WeakOrderBase
 from repro.sql.parser import parse_preferring, parse_statement
 from repro.workloads.cosima import MetaSearch, make_catalog, make_shops
 from repro.workloads.distributions import (
@@ -231,7 +235,8 @@ def e4_cosima(quick: bool = False, sessions: int | None = None) -> Report:
 
 
 def e5_algorithms(quick: bool = False) -> Report:
-    """Ablation: skyline algorithms vs the NOT EXISTS rewrite on sqlite."""
+    """Ablation: the nested-loop oracle and the memory strategy vs the NOT
+    EXISTS rewrite on sqlite."""
     if quick:
         cells = [(500, 2), (500, 4), (2000, 2), (2000, 4)]
     else:
@@ -239,7 +244,8 @@ def e5_algorithms(quick: bool = False) -> Report:
         cells = [(1000, 3), (4000, 3), (16000, 3), (2000, 2), (2000, 4), (2000, 6)]
     report = Report(
         experiment="E5",
-        title="skyline algorithm comparison (ablation; cmp. section 3.3 outlook)",
+        title="nested-loop oracle vs memory strategy vs rewrite "
+        "(ablation; cmp. section 3.3 outlook)",
     )
     table = Table(
         ("distribution", "n", "d", "algorithm", "skyline", "time [ms]")
@@ -253,11 +259,12 @@ def e5_algorithms(quick: bool = False) -> Report:
                 parse_preferring(lowest_preference_sql(d))
             )
             vectors = [row[1:] for row in relation.rows]
-            for algorithm in ALGORITHMS:
+            sizes = set()
+            for algorithm in ("nested_loop", "memory"):
                 if algorithm == "nested_loop" and n > 4000:
                     continue  # quadratic, pointless at scale
                 (indices, timing) = time_call(
-                    lambda a=algorithm: ALGORITHMS[a](preference, vectors),
+                    lambda a=algorithm: maximal_indices(preference, vectors, a),
                     repeats=1 if n >= 8000 else 2,
                 )
                 table.add(name, n, d, algorithm, len(indices), timing.ms())
@@ -265,6 +272,7 @@ def e5_algorithms(quick: bool = False) -> Report:
                     "skyline": len(indices),
                     "seconds": timing.best,
                 }
+                sizes.add(len(indices))
             if n > 4000 and name == "anticorrelated":
                 continue  # the quadratic anti-join on sqlite takes minutes
             # The production path: rewrite executed by sqlite.
@@ -286,9 +294,16 @@ def e5_algorithms(quick: bool = False) -> Report:
                 "seconds": timing.best,
             }
             connection.close()
+            sizes.add(len(rows))
+            if len(sizes) != 1:
+                raise AssertionError(
+                    f"skyline sizes disagree on {name} n={n} d={d}: "
+                    f"{sorted(sizes)}"
+                )
     report.add_table("maximal-set computation", table)
     report.note(
-        "all algorithms must report identical skyline sizes per cell; "
+        "the nested-loop oracle, the memory strategy and the rewrite must "
+        "report identical skyline sizes per cell (asserted); "
         "anti-correlated data grows the skyline (and the cost) with d."
     )
     report.data = raw
@@ -312,7 +327,7 @@ def e6_bmo_sizes(quick: bool = False) -> Report:
                 parse_preferring(lowest_preference_sql(d))
             )
             vectors = [tuple(float(x) for x in row) for row in matrix]
-            size = len(ALGORITHMS["sfs"](preference, vectors))
+            size = len(maximal_indices(preference, vectors))
             table.add(name, d, size, f"{size / n:.2%}")
             raw[(name, d)] = size
     report.add_table("Pareto-optimal set sizes", table)
@@ -326,7 +341,7 @@ def e6_bmo_sizes(quick: bool = False) -> Report:
 
 
 def e7_rewrite_vs_engine(quick: bool = False) -> Report:
-    """Ablation: the same query through sqlite rewrite vs in-memory BNL."""
+    """Ablation: the same query through sqlite rewrite vs the in-memory engine."""
     sizes = (500, 2000) if quick else (1000, 4000, 16000)
     report = Report(
         experiment="E7",
@@ -359,7 +374,7 @@ def e7_rewrite_vs_engine(quick: bool = False) -> Report:
                 f"engine {len(engine_rows)}"
             )
         table.add(n, "sqlite NOT EXISTS", len(sqlite_rows), sqlite_timing.ms())
-        table.add(n, "engine BNL", len(engine_rows), engine_timing.ms())
+        table.add(n, "engine memory", len(engine_rows), engine_timing.ms())
         raw[n] = {
             "sqlite": sqlite_timing.best,
             "engine": engine_timing.best,
@@ -368,7 +383,8 @@ def e7_rewrite_vs_engine(quick: bool = False) -> Report:
     report.add_table("same query, two evaluation paths", table)
     report.note(
         "the paper anticipates kernel-level skyline support beating the "
-        "high-level rewrite at scale; BNL is the stand-in for that future."
+        "high-level rewrite at scale; the memory strategy is the stand-in "
+        "for that future."
     )
     report.data = raw
     return report
@@ -493,8 +509,8 @@ def e9_parallel(quick: bool = False) -> Report:
     For each workload the candidate operand vectors and GROUPING keys are
     built once (the part both execution paths share — fetch and expression
     evaluation), then the skyline stage is timed through
-    :func:`~repro.engine.bmo.bmo_filter` with the serial algorithms and
-    with the partitioned parallel executor, asserting identical winner
+    :func:`~repro.engine.bmo.bmo_filter` with the serial ``memory``
+    strategy and with the partitioned parallel executor, asserting identical winner
     sets per cell.  Jobs, shop and cosima run grouped (GROUPING partitions
     are the natural tasks); points runs ungrouped through the
     hash-partition → local skylines → merge-filter path.  The driver-level
@@ -588,7 +604,7 @@ def e9_parallel(quick: bool = False) -> Report:
         group_count = len(set(keys)) if keys is not None else 1
         baseline: list | None = None
         cell: dict = {"rows": len(vectors), "groups": group_count}
-        for path in ("bnl", "sfs", "parallel"):
+        for path in ("memory", "parallel"):
             winners, timing = time_call(
                 lambda p=path: bmo_filter(
                     preference, vectors, group_keys=keys, algorithm=p
@@ -602,10 +618,10 @@ def e9_parallel(quick: bool = False) -> Report:
                     f"{path} disagrees on {workload} n={n}: "
                     f"{len(winners)} vs {len(baseline)} winners"
                 )
-            label = "parallel" if path == "parallel" else f"serial {path}"
+            label = "parallel" if path == "parallel" else "serial memory"
             table.add(workload, len(vectors), group_count, label, len(winners), timing.ms())
             cell[path] = timing.best
-        cell["speedup_vs_bnl"] = cell["bnl"] / cell["parallel"]
+        cell["speedup_vs_memory"] = cell["memory"] / cell["parallel"]
         raw[(workload, n)] = cell
     report.add_table("skyline stage: serial vs partitioned", table)
 
@@ -635,12 +651,12 @@ def e9_parallel(quick: bool = False) -> Report:
     connection.close()
 
     largest = max(jobs_sizes)
-    raw["largest_jobs_speedup"] = raw[("jobs", largest)]["speedup_vs_bnl"]
+    raw["largest_jobs_speedup"] = raw[("jobs", largest)]["speedup_vs_memory"]
     report.note(
         "all paths must report identical winner sets; the partitioned "
         "executor compiles ranks once globally and wins on grouped "
         "workloads even at worker degree 1 "
-        f"(largest jobs speedup vs serial BNL: "
+        f"(largest jobs speedup vs serial memory: "
         f"{raw['largest_jobs_speedup']:.2f}x); the cost model declines to "
         f"parallelize small inputs (chose {raw['small_input_strategy']!r})."
     )
@@ -746,7 +762,7 @@ def e10_views(quick: bool = False) -> Report:
             # The oracle bypasses the view: pinned strategies always
             # recompute from the base table.
             oracle = sorted(
-                connection.execute(view_sql, algorithm="sfs").fetchall(),
+                connection.execute(view_sql, algorithm="memory").fetchall(),
                 key=repr,
             )
             if materialized != oracle:
@@ -798,11 +814,11 @@ def e11_columnar(quick: bool = False) -> Report:
     scale, the skyline stage is timed through (a) the **seed core** —
     per-group comparator recompilation and per-pair closure loops, which
     is what every strategy funnelled through before the columnar rework
-    (reproduced via ``use_columns=False`` plus per-group slicing) — and
-    (b) the **columnar core** — one shared rank-column object and the
-    tuple-key kernels.  Winner sets must be identical across the seed
-    core, every columnar algorithm, the partitioned executor *and* (at
-    oracle-sized inputs) the quadratic nested-loop oracle.  A driver pass
+    (reproduced verbatim below) — and (b) the **columnar core** — the
+    ``memory`` strategy's shared rank columns and tuple-key kernels.
+    Winner sets must be identical across the seed core, the ``memory``
+    strategy, the partitioned executor *and* (at oracle-sized inputs) the
+    quadratic nested-loop oracle.  A driver pass
     decomposes one SQL-rank-pushdown execution into parse / plan / scan /
     evaluate phases and checks the pushdown returns the same rows as
     in-Python rank columns.  ``--json`` captures all raw numbers
@@ -810,9 +826,8 @@ def e11_columnar(quick: bool = False) -> Report:
     """
     from dataclasses import replace as _replace
 
-    from repro.engine.algorithms import dominance_key, nested_loop_maximal
+    from repro.engine.algorithms import nested_loop_maximal
     from repro.engine.bmo import bmo_filter, run_in_memory_plan
-    from repro.model.categorical import LayeredPreference
     from repro.model.composite import PrioritizationPreference
     from repro.plan.planner import in_memory_parts
     from repro.workloads.fixtures import relation_to_sqlite
@@ -842,9 +857,7 @@ def e11_columnar(quick: bool = False) -> Report:
     # The seed core, reproduced verbatim: per-group vector slices, rank
     # lists re-derived per group in scalar Python (the old
     # ``compiled._leaf_ranks``), per-pair closure loops, and SFS sorting
-    # by a per-row Python ``dominance_key``.  ``use_columns=False`` on
-    # the live algorithms is NOT an honest baseline — it still benefits
-    # from the shared vectorized rank columns.
+    # by a per-row Python ``dominance_key``.
 
     def seed_better(preference, vectors):
         """The seed's compiled comparator: rank lists + tuple closures."""
@@ -968,27 +981,22 @@ def e11_columnar(quick: bool = False) -> Report:
                       len(winners), timing.ms())
             cell[f"seed_{algorithm}_seconds"] = timing.best
             seed_best = timing.best if seed_best is None else min(seed_best, timing.best)
-        columnar_best = None
-        for algorithm in ("bnl", "sfs", "dnc"):
-            winners, timing = time_call(
-                lambda a=algorithm: bmo_filter(
-                    preference, vectors, group_keys=keys, algorithm=a
-                ),
-                repeats=repeats,
+        # Three times the repetitions, so the kernel-stage best-of still
+        # covers 3 × repeats samples.
+        winners, timing = time_call(
+            lambda: bmo_filter(
+                preference, vectors, group_keys=keys, algorithm="memory"
+            ),
+            repeats=3 * repeats,
+        )
+        if winners != baseline:
+            raise AssertionError(
+                f"columnar memory diverges from the seed core on "
+                f"{workload} n={n}"
             )
-            if winners != baseline:
-                raise AssertionError(
-                    f"columnar {algorithm} diverges from the seed core on "
-                    f"{workload} n={n}"
-                )
-            table.add(workload, n, group_count, f"columnar {algorithm}",
-                      len(winners), timing.ms())
-            cell[f"columnar_{algorithm}_seconds"] = timing.best
-            columnar_best = (
-                timing.best
-                if columnar_best is None
-                else min(columnar_best, timing.best)
-            )
+        table.add(workload, n, group_count, "columnar memory",
+                  len(winners), timing.ms())
+        cell["columnar_memory_seconds"] = columnar_best = timing.best
         winners, timing = time_call(
             lambda: bmo_filter(
                 preference, vectors, group_keys=keys, algorithm="parallel"
@@ -1035,7 +1043,7 @@ def e11_columnar(quick: bool = False) -> Report:
                 preference, [vectors[i] for i in members]
             )
         )
-        for algorithm in ("bnl", "sfs", "dnc", "parallel"):
+        for algorithm in ("memory", "parallel"):
             winners = bmo_filter(
                 preference, vectors, group_keys=keys, algorithm=algorithm
             )
@@ -1122,7 +1130,7 @@ def e11_columnar(quick: bool = False) -> Report:
             lambda: parse_statement(query), repeats=repeats
         )
         plan, plan_timing = time_call(
-            lambda: connection.plan(query, force="sfs"), repeats=repeats
+            lambda: connection.plan(query, force="memory"), repeats=repeats
         )
         if plan.rank_source != "sql" or not plan.rank_width:
             raise AssertionError(
@@ -1243,8 +1251,8 @@ def e11_columnar(quick: bool = False) -> Report:
             f"{worst} at {gated[worst]:.2f}x"
         )
     report.note(
-        "identical winner sets asserted between the seed core, every "
-        "columnar kernel, the partitioned executor and the nested-loop "
+        "identical winner sets asserted between the seed core, the "
+        "memory strategy, the partitioned executor and the nested-loop "
         "oracle (at oracle-sized inputs); kernel-stage speedup vs seed "
         "core — "
         + ", ".join(
@@ -1331,7 +1339,7 @@ def e12_joins(quick: bool = False) -> Report:
     for name, query in cases:
         cell: dict = {}
         baseline: list | None = None
-        strategies = ["rewrite", "sfs", "parallel", PREJOIN_STRATEGY, None]
+        strategies = ["rewrite", "memory", "parallel", PREJOIN_STRATEGY, None]
         for strategy in strategies:
             chosen: dict = {}
 
@@ -1385,7 +1393,7 @@ def e12_joins(quick: bool = False) -> Report:
     best_join_aware = min(
         seconds
         for key, seconds in selective.items()
-        if key in ("sfs", "parallel", PREJOIN_STRATEGY)
+        if key in ("memory", "parallel", PREJOIN_STRATEGY)
         and isinstance(seconds, float)
     )
     speedup = selective["rewrite"] / best_join_aware
@@ -1502,7 +1510,11 @@ def e13_semantic(quick: bool = False) -> Report:
                 return sorted(cursor.fetchall(), key=repr)
 
             run()  # warm the plan cache and the observed-constraint probes
-            rows, timing = time_call(run, repeats=repeats)
+            # ``memory`` runs three times the repetitions, so the gated
+            # best-in-memory minimum still covers 4 × repeats samples.
+            rows, timing = time_call(
+                run, repeats=3 * repeats if strategy == "memory" else repeats
+            )
             plan = chosen["plan"]
             if strategy is None:
                 if plan is None or plan.semantic_rule is None:
@@ -1549,7 +1561,7 @@ def e13_semantic(quick: bool = False) -> Report:
 
     # Nested-loop oracle at a size the quadratic method can afford: the
     # semantic single pass must reproduce the oracle's winner set exactly
-    # (the key-pinned case is covered by the five-way parity above).
+    # (the key-pinned case is covered by the four-way parity above).
     oracle_cap = 1_500
     oracle_connection = repro.connect(":memory:")
     relation = load(oracle_connection, oracle_cap)
@@ -1854,7 +1866,7 @@ def e15_server(quick: bool = False) -> Report:
     workers = max(2, cores)
 
     serial, serial_timing = time_call(
-        lambda: sorted(columnar_skyline(ranks, range(n), flavor="sfs")),
+        lambda: sorted(columnar_skyline(ranks, range(n))),
         repeats=repeats,
     )
     offload = Table(("path", "workers", "winners", "time [ms]", "speedup"))
@@ -2341,6 +2353,41 @@ def e16_robustness(quick: bool = False) -> Report:
     )
     report.data = raw
     return report
+
+
+def dominance_key(preference, vector) -> tuple[float, ...]:
+    """The seed core's SFS sort key, kept for the e11 reproduction.
+
+    A total-order key compatible with dominance: if ``v`` is better than
+    ``w`` then ``key(v) < key(w)`` lexicographically.  The key is the flat
+    tuple of per-base rank proxies in tree order: weak-order bases
+    contribute their rank, EXPLICIT bases their DAG depth, layered bases
+    their level.  Compatibility holds because substitutable values share
+    the same proxy and strictly better values a strictly smaller one, for
+    every constructor (see tests/test_algorithms.py).
+    """
+    key: list[float] = []
+    _append_key(preference, vector, key)
+    return tuple(key)
+
+
+# prefcheck: disable=deadline-poll -- recursion over the preference tree: bounded by query width, not row count; per-row callers poll
+def _append_key(preference, vector, key: list[float]) -> None:
+    if isinstance(preference, _Composite):
+        for part, sub in zip(
+            preference.children(), preference.component_vectors(vector)
+        ):
+            _append_key(part, sub, key)
+    elif isinstance(preference, LayeredPreference):
+        key.append(float(preference.level(vector)))
+    elif isinstance(preference, ExplicitPreference):
+        key.append(float(preference.level(vector[0])))
+    elif isinstance(preference, WeakOrderBase):
+        key.append(preference.rank(vector[0]))
+    else:
+        raise EvaluationError(
+            f"cannot derive a sorting key for {preference.kind} preferences"
+        )
 
 
 def _leaf_offsets(preference):

@@ -19,7 +19,7 @@ Behaviour:
   the LRU parse+plan cache keyed on statement text, catalog version and
   worker degree), their parameters bound, and executed on the strategy the
   cost model selected: the ``NOT EXISTS`` rewrite on the host database, a
-  hard-condition pushdown followed by an in-memory skyline algorithm, or
+  hard-condition pushdown followed by the in-memory skyline kernels, or
   the partitioned parallel executor (``max_workers`` caps its worker
   pool; changing it orphans the affected cached plans),
 * ``EXPLAIN PREFERENCE <select>`` returns the chosen plan, per-step cost
@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import re
 import sqlite3
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.deadline import (
     Deadline,
@@ -55,7 +56,7 @@ from repro.engine.bmo import (
     run_in_memory_plan_capturing,
     run_prejoin_plan,
 )
-from repro.engine.incremental import ViewMaintainer
+from repro.engine.incremental import PendingMaintenance, ViewMaintainer
 from repro.engine.parallel import ParallelExecutor, default_worker_count
 from repro.engine.relation import Relation
 from repro.errors import (
@@ -791,19 +792,54 @@ class Connection:
         """Planner hook answering matching queries from materialized views."""
         return self.view_maintainer.match
 
-    def _prepare_maintenance(self, sql: str, params: Sequence[object]):
-        """Pre-DML delta capture for view maintenance (None when inert).
+    @contextmanager
+    def _maintained(
+        self,
+        table: str,
+        op: str,
+        select_sql: str | None = None,
+        params: Sequence[object] = (),
+        conflict: bool = False,
+    ) -> Iterator[PendingMaintenance | None]:
+        """Capture a DML statement's view delta; the body runs the DML.
+
+        Yields the pending maintenance (None when no view depends on
+        ``table``); the body executes the statement and calls
+        ``ViewMaintainer.finish``.  On a connection attached to a shared
+        pool, a statement on a view's base table holds the pool's
+        view-maintenance lock from the capture to the finish, so two
+        pooled writers cannot interleave between them.
+        """
+        maintainer = self.view_maintainer
+        lock = (
+            self._shared.view_maintenance()
+            if self._shared is not None and maintainer.views_on(table)
+            else nullcontext()
+        )
+        with lock:
+            yield maintainer.prepare(
+                op, table, select_sql, params, conflict=conflict
+            )
+
+    @contextmanager
+    def _maintained_sql(
+        self, sql: str, params: Sequence[object]
+    ) -> Iterator[PendingMaintenance | None]:
+        """:meth:`_maintained` for a plain SQL statement (None when inert).
 
         The :data:`_PREFERENCE_DML` hint is a fast over-approximation;
         :func:`_preference_dml_target` then resolves the actual operation
         and target table, seeing through leading comments and CTE
         prologues so maintenance cannot be silently skipped.
         """
-        if not _PREFERENCE_DML.search(sql):
-            return None
-        target = _preference_dml_target(sql)
+        target = (
+            _preference_dml_target(sql)
+            if _DML_HINT.search(sql) and _PREFERENCE_DML.search(sql)
+            else None
+        )
         if target is None:
-            return None
+            yield None
+            return
         maintainer = self.view_maintainer
         if target.op in ("drop_table", "alter_rename"):
             # Dropping or renaming a table out from under a view would
@@ -822,7 +858,8 @@ class Connection:
                     f"table {target.table!r} backs materialized preference "
                     f"view(s) {', '.join(affected)}; drop them first"
                 )
-            return None
+            yield None
+            return
         # The UPDATE pre-image SELECT reuses only the statement's WHERE
         # tail, so the SET clause's leading parameters are skipped.
         capture_params = (
@@ -830,13 +867,14 @@ class Connection:
             if target.param_offset
             else params
         )
-        return maintainer.prepare(
-            target.op,
+        with self._maintained(
             target.table,
+            target.op,
             target.select_sql,
             capture_params,
             conflict=target.conflict,
-        )
+        ) as pending:
+            yield pending
 
     def cursor(self) -> "Cursor":
         """Open a cursor."""
@@ -1089,9 +1127,9 @@ class Cursor:
     ) -> "Cursor":
         """Execute one statement (preference-extended or plain SQL).
 
-        ``algorithm`` pins the execution strategy (``rewrite``, ``bnl``,
-        ``sfs``, ``dnc``, ``parallel``) instead of letting the cost model
-        choose; pinned executions bypass the plan cache.
+        ``algorithm`` pins the execution strategy (``rewrite``,
+        ``memory``, ``parallel``, ``prejoin``) instead of letting the cost
+        model choose; pinned executions bypass the plan cache.
 
         ``timeout_ms`` (or a pre-armed ``deadline``) bounds wall clock.
         The deadline is installed as the thread's active scope — the
@@ -1322,23 +1360,24 @@ class Cursor:
         self._connection.trace.append((sql, rewritten_sql))
         self.executed_sql = rewritten_sql
         self.was_rewritten = True
-        pending = None
-        if isinstance(bound, ast.Insert):
-            pending = self._connection.view_maintainer.prepare(
-                "insert", bound.table.lower(), None, ()
-            )
-        try:
-            self._raw.execute(rewritten_sql)
-        except sqlite3.Error as error:
-            raise DriverError(
-                f"host database rejected rewritten SQL: {error}\n{rewritten_sql}"
-            ) from error
-        if isinstance(bound, ast.Insert):
-            self._connection._note_data_change()
-            if pending is not None:
-                self._connection.view_maintainer.finish(
-                    pending, rowcount=self._raw.rowcount
-                )
+        maintained = (
+            self._connection._maintained(bound.table.lower(), "insert")
+            if isinstance(bound, ast.Insert)
+            else nullcontext()
+        )
+        with maintained as pending:
+            try:
+                self._raw.execute(rewritten_sql)
+            except sqlite3.Error as error:
+                raise DriverError(
+                    f"host database rejected rewritten SQL: {error}\n{rewritten_sql}"
+                ) from error
+            if isinstance(bound, ast.Insert):
+                self._connection._note_data_change()
+                if pending is not None:
+                    self._connection.view_maintainer.finish(
+                        pending, rowcount=self._raw.rowcount
+                    )
         return self
 
     def _execute_in_memory(
@@ -1401,7 +1440,7 @@ class Cursor:
         )
         residual = plan.residual
         name = residual.sources[0].name
-        engine = PreferenceEngine({name: pool}, algorithm="auto")
+        engine = PreferenceEngine({name: pool})
         stage_one = replace(
             residual,
             items=(ast.Star(),),
@@ -1493,35 +1532,32 @@ class Cursor:
         self.executed_sql = sql
         self.was_rewritten = False
         self._connection.trace.append((sql, sql))
-        pending = (
-            self._connection._prepare_maintenance(sql, params)
-            if _DML_HINT.search(sql)
-            else None
-        )
-        try:
-            self._raw.execute(sql, tuple(params))
-        except sqlite3.Error as error:
-            message = str(error)
-            if _PREFERENCE_HINT.search(sql):
-                # The statement failed the dialect parse *and* the host
-                # database: the dialect's diagnosis (e.g. the targeted
-                # missing-parenthesis message for ``PREFERRING LOWEST
-                # price``) is almost always the actionable one — surface
-                # it instead of burying it under sqlite's syntax error.
-                try:
-                    parse_statement(sql)
-                except PreferenceSQLError as dialect_error:
-                    message = (
-                        f"{error} (not parseable as Preference SQL "
-                        f"either: {dialect_error})"
-                    )
-            raise DriverError(message) from error
-        if _DML_HINT.search(sql):
-            self._connection._note_data_change()
-        if pending is not None:
-            self._connection.view_maintainer.finish(
-                pending, rowcount=self._raw.rowcount
-            )
+        with self._connection._maintained_sql(sql, params) as pending:
+            try:
+                self._raw.execute(sql, tuple(params))
+            except sqlite3.Error as error:
+                message = str(error)
+                if _PREFERENCE_HINT.search(sql):
+                    # The statement failed the dialect parse *and* the
+                    # host database: the dialect's diagnosis (e.g. the
+                    # targeted missing-parenthesis message for
+                    # ``PREFERRING LOWEST price``) is almost always the
+                    # actionable one — surface it instead of burying it
+                    # under sqlite's syntax error.
+                    try:
+                        parse_statement(sql)
+                    except PreferenceSQLError as dialect_error:
+                        message = (
+                            f"{error} (not parseable as Preference SQL "
+                            f"either: {dialect_error})"
+                        )
+                raise DriverError(message) from error
+            if _DML_HINT.search(sql):
+                self._connection._note_data_change()
+            if pending is not None:
+                self._connection.view_maintainer.finish(
+                    pending, rowcount=self._raw.rowcount
+                )
         self._connection._note_transaction_statement(sql)
         return self
 
@@ -1544,21 +1580,17 @@ class Cursor:
             # fail to bind and degrade to a flagged full recompute inside
             # prepare(), while INSERT's rowid high-water mark and the
             # UPDATE snapshot span the whole batch.
-            pending = (
-                self._connection._prepare_maintenance(sql, ())
-                if _DML_HINT.search(sql)
-                else None
-            )
-            try:
-                self._raw.executemany(sql, [tuple(row) for row in rows])
-            except sqlite3.Error as error:
-                raise DriverError(str(error)) from error
-            if _DML_HINT.search(sql):
-                self._connection._note_data_change()
-            if pending is not None:
-                self._connection.view_maintainer.finish(
-                    pending, rowcount=self._raw.rowcount
-                )
+            with self._connection._maintained_sql(sql, ()) as pending:
+                try:
+                    self._raw.executemany(sql, [tuple(row) for row in rows])
+                except sqlite3.Error as error:
+                    raise DriverError(str(error)) from error
+                if _DML_HINT.search(sql):
+                    self._connection._note_data_change()
+                if pending is not None:
+                    self._connection.view_maintainer.finish(
+                        pending, rowcount=self._raw.rowcount
+                    )
             return self
         for row in rows:
             self.execute(sql, row)

@@ -7,9 +7,10 @@ over in-memory relations.  It serves as
 
 * the semantics oracle — differential tests assert the rewriter and this
   engine agree on every query,
-* the substrate for the skyline algorithm baselines
-  (:mod:`repro.engine.algorithms`: the paper's abstract nested-loop
-  selection method, BNL [BKS01], sort-filter-skyline, divide & conquer),
+* the substrate of the ``memory`` strategy: one kernel front door
+  (:func:`repro.engine.bmo.memory_evaluator`) over the columnar kernels
+  and a BNL window [BKS01], checked against the paper's abstract
+  nested-loop selection method (:mod:`repro.engine.algorithms`),
 * the evaluator used by the COSIMA-style meta-search simulation, which in
   the paper ran Preference SQL over a temporary database.
 """
@@ -25,17 +26,16 @@ from repro.engine.columns import (
     rank_shape,
 )
 from repro.engine.algorithms import (
-    ALGORITHMS,
     block_nested_loops,
-    divide_and_conquer,
     maximal_indices,
     nested_loop_maximal,
-    sort_filter_skyline,
 )
 from repro.engine.bmo import (
+    ENGINE_ALGORITHMS,
     BmoResult,
     PreferenceEngine,
     bmo_filter,
+    memory_evaluator,
     run_in_memory_plan,
 )
 from repro.engine.parallel import (
@@ -62,14 +62,13 @@ __all__ = [
     "rank_columns_from_values",
     "rank_row_skyline",
     "rank_shape",
-    "ALGORITHMS",
+    "ENGINE_ALGORITHMS",
     "maximal_indices",
     "nested_loop_maximal",
     "block_nested_loops",
-    "sort_filter_skyline",
-    "divide_and_conquer",
     "PreferenceEngine",
     "BmoResult",
     "bmo_filter",
+    "memory_evaluator",
     "run_in_memory_plan",
 ]

@@ -23,12 +23,13 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.deadline import CHECK_EVERY, active_deadline
-from repro.engine.algorithms import maximal_indices
+from repro.engine.algorithms import block_nested_loops, nested_loop_maximal
 from repro.engine.columns import (
     RankColumns,
     columnar_skyline,
     compute_rank_columns,
 )
+from repro.engine.compiled import best_better
 from repro.engine.expressions import Evaluator, RowEnvironment
 from repro.errors import EvaluationError, PreferenceConstructionError
 
@@ -43,12 +44,84 @@ from repro.sql.parser import parse_statement
 from repro.sql.printer import to_sql
 
 
+#: The engine's evaluation algorithms: the in-memory front door, the
+#: partitioned executor, and the paper's nested-loop oracle.
+ENGINE_ALGORITHMS: tuple[str, ...] = ("memory", "parallel", "nested_loop")
+
+
+def resolve_ranks(
+    preference: Preference,
+    vectors: Sequence[tuple] | None,
+    candidates: Sequence[int],
+    ranks: RankColumns | None,
+) -> tuple[RankColumns | None, dict[int, int] | None]:
+    """The query's shared rank columns plus the global→row remap.
+
+    Caller-supplied ``ranks`` (the SQL rank pushdown path) are globally
+    indexed and adopted as-is (remap None).  Otherwise only the
+    ``candidates`` rows are ranked — a row a BUT ONLY threshold already
+    discarded must never reach a rank() implementation — and the remap
+    translates a global index to its row in the columns (None when every
+    row is a candidate).  The columns are None for trees that are not
+    rank-based (EXPLICIT members, custom orders).
+    """
+    if ranks is not None:
+        return ranks, None
+    if vectors is None:
+        raise EvaluationError(
+            "skyline evaluation needs operand vectors or precomputed rank "
+            "columns"
+        )
+    if len(candidates) == len(vectors):
+        return compute_rank_columns(preference, vectors), None
+    remap = {index: position for position, index in enumerate(candidates)}
+    return (
+        compute_rank_columns(preference, [vectors[i] for i in candidates]),
+        remap,
+    )
+
+
+def memory_evaluator(
+    preference: Preference,
+    vectors: Sequence[tuple] | None,
+    candidates: Sequence[int],
+    resolved: tuple[RankColumns | None, dict[int, int] | None],
+) -> Callable[[Sequence[int]], list[int]]:
+    """The kernel front door of the ``memory`` strategy, set up per query.
+
+    Returns ``evaluate(indices)``: the unsorted BMO winners among some
+    ``candidates`` addressed by global row index, so GROUPING groups and
+    parallel partitions pass through untranslated.  The loop is picked
+    from the preference tree alone: flat trees run
+    :func:`~repro.engine.columns.columnar_skyline` (the single-minimum
+    scan for cascades, the numpy blocked kernel for Paretos of at least
+    150 rows, the sort-filter tuple kernel below that); every other tree
+    runs one :func:`~repro.engine.algorithms.block_nested_loops` window
+    over a :func:`~repro.engine.compiled.best_better` comparator compiled
+    once.  ``resolved`` is the :func:`resolve_ranks` outcome for the
+    same ``candidates``.
+    """
+    ranks, position = resolved
+    if ranks is not None and ranks.mode is not None:
+        return lambda indices: columnar_skyline(ranks, indices, position=position)
+    if position is None:
+        better = best_better(preference, vectors, ranks=ranks)
+        return lambda indices: block_nested_loops(better, indices)
+    compact = best_better(
+        preference, [vectors[i] for i in candidates], ranks=ranks
+    )
+    return lambda indices: [
+        candidates[p]
+        for p in block_nested_loops(compact, [position[i] for i in indices])
+    ]
+
+
 def bmo_filter(
     preference: Preference,
     vectors: Sequence[tuple] | None,
     group_keys: Sequence[object] | None = None,
     threshold: Callable[[int], bool] | None = None,
-    algorithm: str = "bnl",
+    algorithm: str = "memory",
     executor: "ParallelExecutor | None" = None,
     ranks: RankColumns | None = None,
 ) -> list[int]:
@@ -59,13 +132,20 @@ def bmo_filter(
     original input order.  ``ranks`` supplies precomputed rank columns
     (the SQL rank pushdown path); ``vectors`` may then be None for
     rank-based trees.  Without them, the ranks are computed here **once**
-    and shared across every GROUPING partition — the seed recompiled a
-    comparator (and re-derived every rank) per group.
-    ``algorithm="parallel"`` evaluates through the partitioned executor
-    (``executor`` shares a worker pool across queries; without one the
-    process-wide shared executor of
-    :func:`repro.engine.parallel.shared_executor` is reused).
+    and shared across every GROUPING partition.
+    ``algorithm`` is one of :data:`ENGINE_ALGORITHMS`: ``memory`` runs
+    :func:`memory_evaluator` per partition; ``parallel`` evaluates
+    through the partitioned executor (``executor`` shares a worker pool
+    across queries; without one the process-wide shared executor of
+    :func:`repro.engine.parallel.shared_executor` is reused);
+    ``nested_loop`` runs the oracle per partition, on operand vectors
+    alone so that it stays independent of the rank columns.
     """
+    if algorithm not in ENGINE_ALGORITHMS:
+        raise EvaluationError(
+            f"unknown skyline algorithm {algorithm!r}; "
+            f"choose from {', '.join(ENGINE_ALGORITHMS)}"
+        )
     deadline = active_deadline()
     if deadline is not None:
         deadline.check()
@@ -94,24 +174,6 @@ def bmo_filter(
             preference, vectors, group_keys, candidates=indices, ranks=ranks
         )
 
-    # Shared rank columns: caller-provided ones are indexed by global row
-    # position; ones computed here cover only the threshold survivors (a
-    # BUT ONLY-discarded row must never reach a rank() implementation),
-    # with `rank_position` translating global index -> column position.
-    shared_ranks = ranks
-    rank_position: dict[int, int] | None = None
-    if shared_ranks is None and vectors is not None and algorithm != "nested_loop":
-        if len(indices) == count:
-            shared_ranks = compute_rank_columns(preference, vectors)
-        else:
-            shared_ranks = compute_rank_columns(
-                preference, [vectors[i] for i in indices]
-            )
-            if shared_ranks is not None:
-                rank_position = {
-                    index: pos for pos, index in enumerate(indices)
-                }
-
     if group_keys is None:
         groups = {None: indices}
     else:
@@ -119,46 +181,24 @@ def bmo_filter(
         for i in indices:
             groups.setdefault(group_keys[i], []).append(i)
 
-    if (
-        shared_ranks is not None
-        and shared_ranks.mode is not None
-        and algorithm in ("bnl", "sfs", "dnc", "auto")
-    ):
-        # Flat rank tree: every partition indexes the *global* rank
-        # columns directly — no per-group slicing, no recompilation.
-        flavor = "sfs" if algorithm == "auto" else algorithm
-        winners = []
-        for members in groups.values():
-            winners.extend(
-                columnar_skyline(
-                    shared_ranks, members, flavor, position=rank_position
-                )
-            )
-        return sorted(winners)
+    if algorithm == "memory":
+        evaluate = memory_evaluator(
+            preference,
+            vectors,
+            indices,
+            resolve_ranks(preference, vectors, indices, ranks),
+        )
+    else:
+        if vectors is None:
+            raise EvaluationError("the nested-loop oracle needs operand vectors")
+
+        def evaluate(members: list[int]) -> list[int]:
+            local = nested_loop_maximal(preference, [vectors[i] for i in members])
+            return [members[k] for k in local]
 
     winners: list[int] = []
     for members in groups.values():
-        local_vectors = (
-            [vectors[i] for i in members] if vectors is not None else None
-        )
-        if shared_ranks is None:
-            local_ranks = None
-        elif rank_position is not None:
-            local_ranks = (
-                shared_ranks
-                if members is indices
-                else shared_ranks.select(
-                    [rank_position[i] for i in members]
-                )
-            )
-        elif len(members) == count:
-            local_ranks = shared_ranks
-        else:
-            local_ranks = shared_ranks.select(members)
-        for local in maximal_indices(
-            preference, local_vectors, algorithm, ranks=local_ranks
-        ):
-            winners.append(members[local])
+        winners.extend(evaluate(members))
     return sorted(winners)
 
 
@@ -299,7 +339,6 @@ def run_prejoin_plan(execute, plan, on_fallback=None) -> Relation:
         )
     engine = PreferenceEngine(
         {plan.prejoin_residual.sources[0].name: candidates},
-        algorithm="auto",
         rank_columns=ranks,
     )
     winners = engine.execute_select(plan.prejoin_residual)
@@ -440,7 +479,7 @@ class PreferenceEngine:
     def __init__(
         self,
         relations: dict[str, Relation] | None = None,
-        algorithm: str = "bnl",
+        algorithm: str = "memory",
         max_workers: int | None = None,
         executor: "ParallelExecutor | None" = None,
         rank_columns: RankColumns | None = None,

@@ -10,8 +10,8 @@ in-memory half of that idea:
 
 * :class:`RankColumns` holds one contiguous ``array('d')`` per base
   preference, computed **once per query** and shared by every consumer —
-  the compiled dominance comparator, the SFS sort key, the serial skyline
-  kernels and the partitioned parallel executor.  The seed core re-derived
+  the compiled dominance comparator, the serial skyline kernels and the
+  partitioned parallel executor.  The seed core re-derived
   these ranks three times per query (``dominance_key`` per row,
   ``compile_better`` per group, ``flat_rank_rows`` per executor).
 * :func:`compute_rank_columns` fills the columns from operand vectors
@@ -22,8 +22,8 @@ in-memory half of that idea:
   Python never evaluates an operand per row.
 * :func:`rank_row_skyline` is the shared flat-tree skyline kernel:
   dominance over rank tuples with duplicate-bucket collapsing and
-  domination short-circuits, in BNL / SFS / D&C flavours.  The serial
-  algorithms and the parallel partition tasks all funnel through it.
+  domination short-circuits in one sort-filter pass.  The ``memory``
+  strategy and the parallel partition tasks all funnel through it.
 
 Tree shapes: Pareto and prioritisation are associative, and over weak
 orders a Pareto of Paretos equals the flat Pareto of all constituents
@@ -44,7 +44,7 @@ paths that replicate the compiled-closure semantics exactly (see
 from __future__ import annotations
 
 from array import array
-from typing import Sequence
+from typing import Iterable, Sequence
 
 try:  # numpy accelerates the Pareto kernel; the pure-Python loops remain
     import numpy as _np
@@ -378,38 +378,7 @@ def _has_nan(row: tuple) -> bool:
     return any(value != value for value in row)
 
 
-# prefcheck: disable=deadline-poll -- per-pair comparator over one rank tuple (query width); every calling kernel loop polls
-def _dominates(a: tuple, b: tuple) -> bool:
-    """Componentwise ``<=`` between *distinct* NaN-free rank tuples."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _bnl_keys(keys: Sequence[tuple]) -> list[tuple]:
-    """BNL over distinct rank tuples: self-cleaning window, short-circuit."""
-    deadline = active_deadline()
-    window: list[tuple] = []
-    for position, row in enumerate(keys):
-        if deadline is not None and not position % CHECK_EVERY:
-            deadline.check()
-        dominated = False
-        survivors: list[tuple] = []
-        for kept in window:
-            if _dominates(kept, row):
-                dominated = True
-                break
-            if not _dominates(row, kept):
-                survivors.append(kept)
-            # else: the window member is dominated by the newcomer.
-        if not dominated:
-            survivors.append(row)
-            window = survivors
-    return window
-
-
-def _sfs_keys(keys: Sequence[tuple]) -> list[tuple]:
+def _sfs_keys(keys: Iterable[tuple]) -> list[tuple]:
     """Sort-filter over distinct rank tuples.
 
     A dominator sorts lexicographically before everything it dominates
@@ -434,57 +403,17 @@ def _sfs_keys(keys: Sequence[tuple]) -> list[tuple]:
     return skyline
 
 
-def _dnc_keys(keys: list[tuple]) -> list[tuple]:
-    """Divide & conquer over distinct rank tuples with cross-filtering."""
-    deadline = active_deadline()
-    if deadline is not None:
-        deadline.check()
-    if len(keys) <= 16:
-        return [
-            a
-            for i, a in enumerate(keys)
-            if not any(
-                j != i and _dominates(keys[j], a) for j in range(len(keys))
-            )
-        ]
-    mid = len(keys) // 2
-    left = _dnc_keys(keys[:mid])
-    right = _dnc_keys(keys[mid:])
-    # The cross filters are the quadratic part (O(|left|·|right|) with
-    # anti-correlated data), so they poll the deadline per outer row —
-    # one clock read against a whole inner scan.
-    surviving_left = []
-    for a in left:
-        if deadline is not None:
-            deadline.check()
-        if not any(_dominates(b, a) for b in right):
-            surviving_left.append(a)
-    surviving_right = []
-    for b in right:
-        if deadline is not None:
-            deadline.check()
-        if not any(_dominates(a, b) for a in left):
-            surviving_right.append(b)
-    return surviving_left + surviving_right
-
-
-_PARETO_KERNELS = {"bnl": _bnl_keys, "sfs": _sfs_keys, "dnc": _dnc_keys}
-
-
 def rank_row_skyline(
     rows,
     mode: str,
     indices: Sequence[int],
-    flavor: str = "sfs",
     nan_free: bool = False,
 ) -> list[int]:
-    """BMO winners among ``indices`` over precomputed rank rows.
+    """BMO winners among ``indices`` over precomputed rank rows, unsorted.
 
     ``rows`` maps row index → rank tuple (a list when every row is a
     candidate, a dict when a BUT ONLY threshold discarded some — the
-    partitioned executor passes global-index dicts).  ``flavor`` picks
-    the Pareto kernel loop (``bnl`` / ``sfs`` / ``dnc``); all flavours
-    return the same unique maximal set, unsorted — callers order it.
+    partitioned executor passes global-index dicts).
 
     Duplicate rank rows are substitutable — they win or lose together —
     so they collapse into one bucket each before the kernel runs; under a
@@ -536,8 +465,7 @@ def rank_row_skyline(
             return winners
         winners.extend(buckets[min(buckets)])
         return winners
-    kernel = _PARETO_KERNELS.get(flavor, _sfs_keys)
-    for row in kernel(list(buckets)):
+    for row in _sfs_keys(buckets):
         winners.extend(buckets[row])
     return winners
 
@@ -656,7 +584,6 @@ def _pareto_winner_offsets(matrix, positions) -> list[int]:
 def columnar_skyline(
     ranks: RankColumns,
     indices: Sequence[int],
-    flavor: str = "sfs",
     position=None,
 ) -> list[int]:
     """BMO winners among ``indices`` over shared rank columns, unsorted.
@@ -665,8 +592,8 @@ def columnar_skyline(
     single-minimum scan, flat Paretos run the vectorized blocked kernel
     when numpy is available and the partition is big enough, and
     everything else (small partitions, no numpy) goes through the
-    pure-Python tuple kernels of :func:`rank_row_skyline` in the
-    requested ``flavor``.  ``position`` maps a global row index to its
+    pure-Python sort-filter tuple kernel of :func:`rank_row_skyline`.
+    ``position`` maps a global row index to its
     row inside ``ranks`` when they differ (BUT ONLY survivors, partition
     remaps); None means indices address the columns directly.
     """
@@ -697,6 +624,4 @@ def columnar_skyline(
     rows = ranks.rows
     if position is not None:
         rows = {i: rows[position[i]] for i in indices}
-    return rank_row_skyline(
-        rows, mode, indices, flavor, nan_free=not ranks.has_nan
-    )
+    return rank_row_skyline(rows, mode, indices, nan_free=not ranks.has_nan)

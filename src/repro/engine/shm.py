@@ -120,7 +120,6 @@ class RankTransport:
         self,
         partition: int,
         stride: int,
-        flavor: str = "sfs",
         deadline_ts: float | None = None,
     ) -> tuple:
         """The picklable descriptor for one worker-side local skyline.
@@ -139,7 +138,6 @@ class RankTransport:
             self.nan_free,
             partition,
             stride,
-            flavor,
             deadline_ts,
         )
 
@@ -168,7 +166,7 @@ def _local_skyline_from_buffer(buf, task: tuple) -> list[int]:
     the shared buffer dies with this frame — :meth:`SharedMemory.close`
     raises ``BufferError`` while exported views are still alive.
     """
-    (_, rows, width, count, mode, nan_free, partition, stride, flavor, _ts) = task
+    (_, rows, width, count, mode, nan_free, partition, stride, _ts) = task
     matrix = _np.ndarray((rows, width), dtype=_np.float64, buffer=buf)
     candidates = _np.ndarray(
         (count,),
@@ -185,7 +183,7 @@ def _local_skyline_from_buffer(buf, task: tuple) -> list[int]:
         return part[_np.asarray(offsets, dtype=_np.intp)].tolist()
     indices = part.tolist()
     row_map = {i: tuple(matrix[i]) for i in indices}
-    return rank_row_skyline(row_map, mode, indices, flavor, nan_free=nan_free)
+    return rank_row_skyline(row_map, mode, indices, nan_free=nan_free)
 
 
 def skyline_worker(task: tuple) -> list[int]:
@@ -200,7 +198,7 @@ def skyline_worker(task: tuple) -> list[int]:
     past the deadline raises :class:`~repro.errors.QueryTimeout`, which
     pickles back and cancels the whole map.
     """
-    deadline_ts = task[9]
+    deadline_ts = task[8]
     deadline = Deadline(deadline_ts) if deadline_ts is not None else None
     if deadline is not None:
         deadline.check()

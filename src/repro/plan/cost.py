@@ -1,17 +1,19 @@
 """The calibrated cost model behind plan selection.
 
-Five candidate strategies compete for every preference SELECT:
+Three candidate strategies compete for every single-table preference
+SELECT (:data:`STRATEGIES`):
 
 * ``rewrite`` — the paper's selection method (section 3.2): a correlated
   ``NOT EXISTS`` anti-join executed entirely by the host database,
-* ``bnl`` / ``sfs`` / ``dnc`` — a hard-condition pushdown fetches the
-  WHERE-surviving candidates, then one of the in-memory skyline algorithms
-  of :mod:`repro.engine.algorithms` computes the BMO set,
+* ``memory`` — a hard-condition pushdown fetches the WHERE-surviving
+  candidates, then the in-memory kernel front door
+  (:func:`repro.engine.bmo.memory_evaluator`) computes the BMO set,
 * ``parallel`` — the same pushdown, evaluated by the partitioned executor
   of :mod:`repro.engine.parallel` (per-group tasks for GROUPING queries,
   hash-partition → local skylines → merge filter otherwise).
 
-The model prices each strategy in seconds from three inputs: the estimated
+Two more are priced only where they apply: ``prejoin`` (winnow before a
+join) and ``session`` (re-winnow a cached winner base).  The model prices each strategy in seconds from three inputs: the estimated
 candidate count ``n`` (row count × System-R-style WHERE selectivity), the
 estimated maximal-set size ``s`` (the classical ``(ln n)^(d-1)/(d-1)!``
 skyline estimate for ``d`` preference dimensions, corrected for duplicate
@@ -26,7 +28,7 @@ quadratic anti-join versus the linear fetch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.engine.parallel import (
@@ -36,12 +38,8 @@ from repro.engine.parallel import (
 from repro.errors import PlanError
 from repro.sql import ast
 
-#: Serial in-memory skyline algorithms (the choices of ``algorithm="auto"``
-#: once the data is already fetched).
-SERIAL_IN_MEMORY: tuple[str, ...] = ("bnl", "sfs", "dnc")
-
 #: Strategies that evaluate the BMO set in Python after a pushdown.
-IN_MEMORY_STRATEGIES: tuple[str, ...] = SERIAL_IN_MEMORY + ("parallel",)
+IN_MEMORY_STRATEGIES: tuple[str, ...] = ("memory", "parallel")
 
 #: All selectable execution strategies, in tie-breaking order.
 STRATEGIES: tuple[str, ...] = ("rewrite",) + IN_MEMORY_STRATEGIES
@@ -80,8 +78,8 @@ class CostModel:
     sqlite's VM is ~50 ns, a dominance test through the compiled
     comparator ~0.25 µs, moving one (8-column) row across the
     sqlite→Python boundary and into an engine bundle ~3 µs, and one
-    ``dominance_key`` computation for the SFS presort ~0.9 µs amortised
-    per ``n·log n``.  Setup constants capture the fixed overhead of,
+    Python-level sort key (the prejoin presort, the parallel rank rows)
+    ~0.9 µs amortised per ``n·log n``.  Setup constants capture the fixed overhead of,
     respectively, preparing a host statement and standing up the in-memory
     engine for one query.
     """
@@ -463,39 +461,16 @@ def estimate_costs(
                 ("host anti-join probes", model.sql_probe * probes),
                 ("fetch winners", model.row_fetch * s),
             )
-        elif strategy == "bnl":
-            # Window scans plus evictions: grows with the skyline size.
+        elif strategy == "memory":
+            # One filter pass against the skyline so far: the comparison
+            # count of the sort-filter kernels, which the BNL window
+            # matches on closure trees.  There is no presort term: the
+            # flat kernels sort at C level and the window does not sort.
             steps = (
                 ("engine setup", model.py_setup),
                 ("fetch candidates", row_fetch * n),
                 *((rank_step,) if rank_step else ()),
-                ("window scan", dominance * n * s * 0.35),
-            )
-        elif strategy == "sfs":
-            # The presort guarantees no later tuple dominates an earlier
-            # one, so the filter pass compares less than BNL's window scan
-            # — SFS overtakes BNL once the skyline outgrows the sort cost.
-            sort_cost = (
-                model.flat_dominance if columnar else model.sort_key
-            ) * n * log_n
-            steps = (
-                ("engine setup", model.py_setup),
-                ("fetch candidates", row_fetch * n),
-                *((rank_step,) if rank_step else ()),
-                (
-                    "presort by rank rows"
-                    if columnar
-                    else "presort by dominance key",
-                    sort_cost,
-                ),
                 ("filter pass", dominance * n * s * 0.2),
-            )
-        elif strategy == "dnc":
-            steps = (
-                ("engine setup", model.py_setup),
-                ("fetch candidates", row_fetch * n),
-                *((rank_step,) if rank_step else ()),
-                ("recursive cross-filter", dominance * n * (log_n + s) * 0.35),
             )
         elif strategy == "parallel":
             partitions = float(planned_partitions(n, workers, groups))
@@ -607,29 +582,6 @@ def choose_strategy(estimates: Mapping[str, CostEstimate]) -> str:
         estimates,
         key=lambda name: (estimates[name].seconds, _TIE_ORDER.index(name)),
     )
-
-
-def choose_algorithm(
-    candidates: int,
-    dimensions: int,
-    distinct_counts: Sequence[int | None] = (),
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> str:
-    """Pick an in-memory skyline algorithm for already-fetched vectors.
-
-    Used by ``maximal_indices(..., algorithm="auto")``: the data is in
-    memory already, so fetch and setup constants are zeroed and only the
-    comparison structure of the three algorithms matters.
-    """
-    in_memory_model = replace(model, row_fetch=0.0, py_setup=0.0, sql_setup=0.0)
-    estimates = estimate_costs(
-        candidates,
-        dimensions,
-        distinct_counts,
-        model=in_memory_model,
-        include=SERIAL_IN_MEMORY,
-    )
-    return choose_strategy(estimates)
 
 
 def semantic_pass_estimate(

@@ -3,7 +3,7 @@
 This is the seam between the Preference SQL Optimizer (:mod:`repro.rewrite`)
 and the two execution paths the repo has had since the seed: the paper's
 rewrite executed by the host database, and the in-memory BMO engine with
-its skyline algorithms.  The paper notes that dedicated skyline algorithms
+its skyline kernels.  The paper notes that dedicated skyline algorithms
 "clearly hold much promise for additional speed-ups" (section 3.3); here
 the choice is made per query from cheap table statistics instead of a
 hardcoded string argument.
@@ -113,7 +113,9 @@ class Plan:
     """One fully-described execution of a preference statement."""
 
     statement: ast.Statement
-    strategy: str  # 'passthrough' | 'rewrite' | 'bnl' | 'sfs' | 'dnc' | 'parallel'
+    #: 'passthrough' | 'rewrite' | 'memory' | 'parallel' | 'prejoin' |
+    #: 'session' | 'view'
+    strategy: str
     rewritten_sql: str | None = None
     pushdown_sql: str | None = None
     residual: ast.Select | None = None

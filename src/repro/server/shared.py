@@ -22,11 +22,17 @@ independent clients:
   writes.  sqlite's ``PRAGMA data_version`` cannot provide this signal:
   it never moves for a connection's own writes, and in-process sibling
   writes are exactly what a pooled server produces.
+* **view-maintenance lock** — incremental view maintenance captures a
+  delta before a DML statement and applies it after; two pooled writers
+  interleaving between those steps lose one of them, so a writer to a
+  table some view depends on holds this lock from capture to apply.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.plan.cache import PlanCache
 from repro.plan.statistics import TableStatistics
@@ -59,6 +65,10 @@ class SharedState:
         #: survived.
         #: guarded by _lock
         self.events: dict[str, int] = {}
+        self._maintenance_lock = threading.Lock()
+        #: DML statements whose view maintenance ran under the lock.
+        #: guarded by _maintenance_lock
+        self._maintenance_runs = 0
 
     def record_event(self, name: str, count: int = 1) -> None:
         """Bump a named recovery/observability counter (thread-safe)."""
@@ -101,3 +111,22 @@ class SharedState:
         with self._lock:
             self._catalog_epoch += 1
             return self._catalog_epoch
+
+    @contextmanager
+    def view_maintenance(self) -> Iterator[None]:
+        """Hold the pool-wide view-maintenance lock for one DML statement.
+
+        The driver enters this around ``ViewMaintainer.prepare``, the DML
+        itself and ``ViewMaintainer.finish`` whenever the statement
+        writes a table some materialized view depends on, so concurrent
+        writers maintain the views one after the other.
+        """
+        with self._maintenance_lock:
+            self._maintenance_runs += 1
+            yield
+
+    @property
+    def maintenance_runs(self) -> int:
+        """How many DML statements were maintained under the lock."""
+        with self._maintenance_lock:
+            return self._maintenance_runs

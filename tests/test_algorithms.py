@@ -1,24 +1,17 @@
-"""Skyline algorithms: correctness against the paper's selection method.
+"""Skyline evaluation: correctness against the paper's selection method.
 
 The paper's abstract nested-loop selection method (section 3.2) is the
-executable definition of "maximal tuples".  Every other algorithm — BNL,
-SFS, divide & conquer — must return exactly the same index set, which
-hypothesis checks over random preferences and data.
+executable definition of "maximal tuples".  The ``memory`` strategy must
+return exactly the same index set, which hypothesis checks over random
+preferences and data.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.engine.algorithms import (
-    ALGORITHMS,
-    block_nested_loops,
-    divide_and_conquer,
-    dominance_key,
-    maximal_indices,
-    nested_loop_maximal,
-    sort_filter_skyline,
-)
+from repro.bench.experiments import dominance_key
+from repro.engine.algorithms import maximal_indices, nested_loop_maximal
 from repro.errors import EvaluationError
 from repro.model.builder import build_preference
 from repro.model.categorical import pos
@@ -29,6 +22,10 @@ from repro.sql.parser import parse_preferring
 
 A = ast.Column(name="a")
 B = ast.Column(name="b")
+
+#: Engine algorithms the dispatcher tests run (``parallel`` has its own
+#: suite in tests/test_parallel.py).
+ALGORITHMS = ("memory", "nested_loop")
 
 
 def two_d_pareto():
@@ -61,10 +58,10 @@ class TestNestedLoop:
 
 
 class TestAgreementAcrossAlgorithms:
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_known_case(self, algorithm):
         vectors = [(1, 3), (3, 1), (2, 2), (4, 4), (1, 3)]
-        assert ALGORITHMS[algorithm](two_d_pareto(), vectors) == [0, 1, 2, 4]
+        assert maximal_indices(two_d_pareto(), vectors, algorithm) == [0, 1, 2, 4]
 
     @given(
         data=st.lists(
@@ -75,9 +72,7 @@ class TestAgreementAcrossAlgorithms:
     def test_pareto_agreement(self, data):
         preference = two_d_pareto()
         expected = nested_loop_maximal(preference, data)
-        assert block_nested_loops(preference, data) == expected
-        assert sort_filter_skyline(preference, data) == expected
-        assert divide_and_conquer(preference, data) == expected
+        assert maximal_indices(preference, data) == expected
 
     @given(
         data=st.lists(
@@ -94,9 +89,7 @@ class TestAgreementAcrossAlgorithms:
             [AroundPreference(A, 3), pos(B, {"red", "blue"})]
         )
         expected = nested_loop_maximal(preference, data)
-        assert block_nested_loops(preference, data) == expected
-        assert sort_filter_skyline(preference, data) == expected
-        assert divide_and_conquer(preference, data) == expected
+        assert maximal_indices(preference, data) == expected
 
     @given(
         data=st.lists(
@@ -113,11 +106,8 @@ class TestAgreementAcrossAlgorithms:
             parse_preferring("EXPLICIT(a, 'red' > 'blue', 'blue' > 'green') AND LOWEST(b)")
         )
         expected = nested_loop_maximal(preference, data)
-        assert block_nested_loops(preference, data) == expected
-        assert divide_and_conquer(preference, data) == expected
-        # SFS needs a dominance-compatible key, which EXPLICIT provides via
-        # DAG depth.
-        assert sort_filter_skyline(preference, data) == expected
+        # EXPLICIT has no rank columns: the BNL closure loop decides.
+        assert maximal_indices(preference, data) == expected
 
 
 class TestDominanceKey:
@@ -160,12 +150,14 @@ class TestDispatcher:
         with pytest.raises(EvaluationError):
             maximal_indices(two_d_pareto(), [], algorithm="quantum")
 
-    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_all_empty(self, algorithm):
-        assert ALGORITHMS[algorithm](two_d_pareto(), []) == []
+        assert maximal_indices(two_d_pareto(), [], algorithm) == []
 
     def test_large_antichain(self):
         # n incomparable tuples: everything survives.
         vectors = [(i, 100 - i) for i in range(100)]
-        for algorithm in ALGORITHMS.values():
-            assert algorithm(two_d_pareto(), vectors) == list(range(100))
+        for algorithm in ALGORITHMS:
+            assert maximal_indices(two_d_pareto(), vectors, algorithm) == list(
+                range(100)
+            )

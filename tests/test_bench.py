@@ -112,7 +112,7 @@ class TestExperiments:
         assert report.data["driver_rows"] > 0
         for key, cell in report.data.items():
             if isinstance(key, tuple):
-                assert cell["bnl"] > 0 and cell["parallel"] > 0
+                assert cell["memory"] > 0 and cell["parallel"] > 0
 
     def test_e14_quick_serves_and_gates(self):
         report = run_experiment("e14", quick=True)

@@ -1,7 +1,8 @@
 """The columnar rank-vector core against the nested-loop oracle.
 
 Property suite for the tentpole invariant: every columnar execution path
-— the serial tuple kernels (bnl/sfs/dnc flavours, python and vectorized),
+— the ``memory`` strategy's kernel front door (python and vectorized
+tuple kernels, the single-minimum cascade scan, the BNL closure loop),
 the partitioned executor, and the SQL rank pushdown through the driver —
 returns *index-identical* winners to the paper's quadratic nested-loop
 selection method, on random Pareto/CASCADE/ELSE trees over values that
@@ -10,6 +11,7 @@ under GROUPING and BUT ONLY.
 """
 
 import math
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -17,12 +19,7 @@ from hypothesis import given, settings
 
 import repro
 from repro.engine import columns as columns_module
-from repro.engine.algorithms import (
-    block_nested_loops,
-    divide_and_conquer,
-    nested_loop_maximal,
-    sort_filter_skyline,
-)
+from repro.engine.algorithms import maximal_indices, nested_loop_maximal
 from repro.engine.bmo import bmo_filter
 from repro.engine.columns import (
     RankColumns,
@@ -100,9 +97,39 @@ def _operand_vectors(preference, rows):
     return [tuple(row[i] for i in slots) for row in rows]
 
 
-def _grouped_oracle(preference, vectors, keys):
+#: Trees for the front-door property, one family per loop the front door
+#: picks: flat Paretos, flat cascades, random (often mixed) nesting, and
+#: EXPLICIT trees, which have no rank columns at all.
+front_door_trees = st.one_of(
+    *(
+        st.builds(
+            lambda parts, op=op: f" {op} ".join(f"({part})" for part in parts),
+            st.lists(_BASES, min_size=2, max_size=3),
+        )
+        for op in ("AND", "CASCADE")
+    ),
+    trees_strategy,
+    st.builds(
+        lambda tree: f"EXPLICIT(c, 'x' > 'y', 'y' > 'z') AND ({tree})",
+        trees_strategy,
+    ),
+)
+
+
+def _random_row(rng: random.Random) -> tuple:
+    """One bulk row; all share GROUPING key ``p``, so that group is large."""
+    return (
+        rng.choice([None, *range(-5, 13)]),
+        rng.choice([None, *range(10)]),
+        rng.choice(["x", "y", "z", None]),
+        "p",
+        rng.randrange(7),
+    )
+
+
+def _grouped_oracle(preference, vectors, keys, survivors=None):
     groups = {}
-    for i in range(len(vectors)):
+    for i in range(len(vectors)) if survivors is None else survivors:
         groups.setdefault(keys[i] if keys else None, []).append(i)
     return sorted(
         members[p]
@@ -123,22 +150,47 @@ def test_columnar_kernels_match_nested_loop_oracle(rows, tree):
     preference = build_preference(parse_preferring(tree))
     vectors = _operand_vectors(preference, rows)
     oracle = sorted(nested_loop_maximal(preference, vectors))
-    for algorithm in (block_nested_loops, sort_filter_skyline, divide_and_conquer):
-        assert algorithm(preference, vectors) == oracle, (tree, algorithm)
+    assert maximal_indices(preference, vectors) == oracle, tree
 
 
-@given(rows=rows_strategy, tree=trees_strategy, data=st.data())
-@settings(max_examples=60, deadline=None)
+@given(rows=rows_strategy, tree=front_door_trees, data=st.data())
+@settings(max_examples=200, deadline=None)
 def test_grouped_columnar_matches_oracle(rows, tree, data):
+    """The ``memory`` front door and the parallel executor vs the oracle.
+
+    The draws reach every loop the front door picks: flat cascades (the
+    single-minimum scan), flat Paretos below and at or above the numpy
+    kernel's 150-row floor, NaN rank rows (a custom rank leaf on top),
+    closure trees (mixed nesting, EXPLICIT), GROUPING and BUT ONLY.
+    """
     preference = build_preference(parse_preferring(tree))
+    nan_parent = data.draw(
+        st.sampled_from([None, ParetoPreference, PrioritizationPreference])
+    )
+    if nan_parent is not None:
+        preference = nan_parent([NanLowest(ast.Column(name="a")), preference])
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 2**16)))
+        rows = rows + [_random_row(rng) for _ in range(rng.randrange(250, 350))]
     vectors = _operand_vectors(preference, rows)
-    keys = [row[3] for row in rows]
-    oracle = _grouped_oracle(preference, vectors, keys)
-    algorithm = data.draw(st.sampled_from(["bnl", "sfs", "dnc", "parallel"]))
+    keys = [row[3] for row in rows] if data.draw(st.booleans()) else None
+    cut = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+    threshold = None if cut is None else (lambda i: rows[i][4] <= cut)
+    survivors = (
+        None if cut is None else [i for i in range(len(rows)) if rows[i][4] <= cut]
+    )
+    oracle = _grouped_oracle(preference, vectors, keys, survivors)
+    algorithm = data.draw(st.sampled_from(["memory", "memory", "parallel"]))
     assert (
-        bmo_filter(preference, vectors, group_keys=keys, algorithm=algorithm)
+        bmo_filter(
+            preference,
+            vectors,
+            group_keys=keys,
+            threshold=threshold,
+            algorithm=algorithm,
+        )
         == oracle
-    ), (tree, algorithm)
+    ), (tree, nan_parent, algorithm)
 
 
 @given(rows=rows_strategy, tree=trees_strategy)
@@ -177,9 +229,8 @@ def test_adopted_rank_values_match_computed(rows, tree, data):
     )
     assert adopted is not None
     assert adopted.rows == computed.rows
-    flavor = data.draw(st.sampled_from(["bnl", "sfs", "dnc"]))
     assert sorted(
-        bmo_filter(preference, None, algorithm=flavor, ranks=adopted)
+        bmo_filter(preference, None, algorithm="memory", ranks=adopted)
     ) == sorted(nested_loop_maximal(preference, vectors)), tree
 
 
@@ -228,8 +279,7 @@ def test_nan_ranks_match_oracle_on_flat_trees(vectors, data):
         [NanLowest(ast.Column(name=name)) for name in ("a", "b")]
     )
     oracle = sorted(nested_loop_maximal(preference, vectors))
-    for algorithm in (block_nested_loops, sort_filter_skyline, divide_and_conquer):
-        assert algorithm(preference, vectors) == oracle, composite.kind
+    assert maximal_indices(preference, vectors) == oracle, composite.kind
     ranks = compute_rank_columns(preference, vectors)
     if vectors:
         assert ranks.has_nan == any(
@@ -257,7 +307,7 @@ def test_blob_and_decimal_operands_take_the_scalar_path():
         [(3.0,), (Decimal("2.5"),)],
     ):
         oracle = sorted(nested_loop_maximal(preference, vectors))
-        assert block_nested_loops(preference, vectors) == oracle, vectors
+        assert maximal_indices(preference, vectors) == oracle, vectors
         ranks = compute_rank_columns(preference, vectors)
         assert ranks.rows[1][0] == pytest.approx(1.0e15), vectors
 
@@ -270,7 +320,7 @@ def test_mismatched_adopted_columns_are_refused():
     ranks = compute_rank_columns(p, rows)
     engine = repro.PreferenceEngine(
         {"items": repro.Relation(columns=("a", "b"), rows=rows)},
-        algorithm="sfs",
+        algorithm="memory",
         rank_columns=ranks,
     )
     q = "SELECT * FROM items PREFERRING HIGHEST(a) AND LOWEST(b)"
@@ -285,7 +335,7 @@ def test_nan_operands_rank_as_null_rank_not_nan():
     ranks = compute_rank_columns(preference, vectors)
     assert not ranks.has_nan
     assert ranks.rows[0][0] == pytest.approx(1.0e15)
-    assert sorted(block_nested_loops(preference, vectors)) == sorted(
+    assert maximal_indices(preference, vectors) == sorted(
         nested_loop_maximal(preference, vectors)
     )
 
@@ -316,7 +366,7 @@ def test_flattened_nesting_preserves_dominance(rows):
         parse_preferring("(LOWEST(a) AND HIGHEST(b)) AND a AROUND 3")
     )
     vectors = _operand_vectors(nested, rows)
-    assert sorted(nested_loop_maximal(nested, vectors)) == block_nested_loops(
+    assert sorted(nested_loop_maximal(nested, vectors)) == maximal_indices(
         nested, vectors
     )
 
@@ -405,14 +455,14 @@ def test_pushdown_plan_is_reported_and_used():
     connection = _driver([(1, 2, "x", "p", 0), (3, 1, "y", "q", 1)] * 30)
     try:
         query = "SELECT * FROM items PREFERRING LOWEST(a) AND HIGHEST(b)"
-        plan = connection.plan(query, force="sfs")
+        plan = connection.plan(query, force="memory")
         assert plan.rank_source == "sql"
         assert plan.rank_width == 2
         assert plan.columnar == "pareto rank tuples"
         assert "__pref_rank_0" in plan.pushdown_sql
         report = dict(
             connection.execute(
-                f"EXPLAIN PREFERENCE {query}", algorithm="sfs"
+                f"EXPLAIN PREFERENCE {query}", algorithm="memory"
             ).fetchall()
         )
         assert "rank source" in report and "columnar" in report
@@ -433,7 +483,7 @@ def test_explicit_tree_reports_closure_fallback():
         assert plan.rank_source == "closure"
         assert plan.rank_width == 0
         rewrite_rows = connection.execute(query, algorithm="rewrite").fetchall()
-        for strategy in ("bnl", "sfs", "dnc", "parallel"):
+        for strategy in ("memory", "parallel"):
             assert (
                 connection.execute(query, algorithm=strategy).fetchall()
                 == rewrite_rows
@@ -450,7 +500,7 @@ def test_parameterized_pushdown_rebinds_rank_expressions():
         query = "SELECT * FROM items PREFERRING a AROUND ? AND HIGHEST(b)"
         for target in (0, 3, 6):
             pushed = sorted(
-                connection.execute(query, (target,), algorithm="sfs").fetchall(),
+                connection.execute(query, (target,), algorithm="memory").fetchall(),
                 key=repr,
             )
             oracle = sorted(

@@ -22,9 +22,7 @@ from repro.deadline import (
     sqlite_interrupt,
 )
 from repro.errors import QueryTimeout
-
-#: Strategies the acceptance criteria require to honor deadlines.
-STRATEGIES = ("rewrite", "bnl", "sfs", "dnc", "parallel")
+from repro.plan import STRATEGIES
 
 ROWS = 30_000
 TIMEOUT_MS = 600
@@ -199,7 +197,7 @@ class TestStrategyTimeouts:
         try:
             with pytest.raises(QueryTimeout):
                 connection.execute(
-                    ADVERSARIAL, algorithm="bnl", timeout_ms=150
+                    ADVERSARIAL, algorithm="memory", timeout_ms=150
                 )
             assert active_deadline() is None
         finally:

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.engine import PreferenceEngine, Relation
+from repro.engine import ENGINE_ALGORITHMS, PreferenceEngine, Relation
 from repro.errors import RewriteError
 from repro.rewrite.planner import rewrite_select
 from repro.sql.parser import parse_statement
@@ -52,7 +52,7 @@ class TestRewriterEdges:
 
 
 class TestEngineAlgorithmKnob:
-    @pytest.mark.parametrize("algorithm", ["nested_loop", "bnl", "sfs", "dnc"])
+    @pytest.mark.parametrize("algorithm", ENGINE_ALGORITHMS)
     def test_engine_uses_configured_algorithm(self, algorithm):
         relation = Relation(
             columns=("id", "x", "y"),

@@ -534,7 +534,7 @@ def _sem_connection(rows, data):
 def _assert_semantic_paths_agree(connection, query):
     """Default planning (semantic may fire) vs oracle vs every strategy."""
     oracle = sorted(
-        connection.execute(query, algorithm="bnl").fetchall(), key=repr
+        connection.execute(query, algorithm="memory").fetchall(), key=repr
     )
     for strategy in STRATEGIES:
         rows = sorted(

@@ -70,7 +70,7 @@ def car_dealer():
 
 class TestJoinExecution:
     """The acceptance criterion: a key–FK join query plans and executes
-    under all five strategies (and the winnow pushdown) with winner sets
+    under every strategy (and the winnow pushdown) with winner sets
     identical to the NOT EXISTS rewrite."""
 
     def test_all_strategies_agree_on_key_fk_join(self, car_dealer):
@@ -91,7 +91,7 @@ class TestJoinExecution:
             car_dealer.execute(COMMA_QUERY, algorithm="rewrite").fetchall(),
             key=repr,
         )
-        for strategy in ("sfs", PREJOIN_STRATEGY):
+        for strategy in ("memory", PREJOIN_STRATEGY):
             rows = car_dealer.execute(JOIN_QUERY, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -109,7 +109,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in ("memory", PREJOIN_STRATEGY):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -124,7 +124,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="sfs").fetchall()
+        rows = car_dealer.execute(sql, algorithm="memory").fetchall()
         assert sorted(rows, key=repr) == oracle
         with pytest.raises(PlanError):
             car_dealer.execute(sql, algorithm=PREJOIN_STRATEGY)
@@ -137,7 +137,7 @@ class TestJoinExecution:
             "ORDER BY c.price, c.car_id LIMIT 3"
         )
         oracle = car_dealer.execute(sql, algorithm="rewrite").fetchall()
-        for strategy in ("sfs", PREJOIN_STRATEGY):
+        for strategy in ("memory", PREJOIN_STRATEGY):
             assert car_dealer.execute(sql, algorithm=strategy).fetchall() == oracle
 
     def test_order_by_select_list_alias(self, car_dealer):
@@ -163,7 +163,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in ("memory", PREJOIN_STRATEGY):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -189,7 +189,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="sfs").fetchall()
+        rows = car_dealer.execute(sql, algorithm="memory").fetchall()
         assert sorted(rows, key=repr) == oracle
         plan = car_dealer.plan(sql)
         assert plan.winnow_pushdown.startswith("no")
@@ -203,7 +203,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("bnl", PREJOIN_STRATEGY):
+        for strategy in ("memory", PREJOIN_STRATEGY):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -234,7 +234,7 @@ class TestJoinExecution:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        for strategy in ("sfs", PREJOIN_STRATEGY):
+        for strategy in ("memory", PREJOIN_STRATEGY):
             rows = car_dealer.execute(sql, algorithm=strategy).fetchall()
             assert sorted(rows, key=repr) == oracle
 
@@ -287,7 +287,7 @@ class TestJoinExecution:
         sql = (
             "SELECT * FROM a, b WHERE a.k = b.k PREFERRING LOWEST(a.x)"
         )
-        for strategy in ("rewrite", "bnl", PREJOIN_STRATEGY):
+        for strategy in ("rewrite", "memory", PREJOIN_STRATEGY):
             assert connection.execute(sql, algorithm=strategy).fetchall() == []
 
 
@@ -374,7 +374,7 @@ class TestJoinPlanning:
             "PREFERRING LOWEST(s.a)"
         )
         with pytest.raises((PlanError, RewriteError)):
-            connection.execute(sql, algorithm="bnl")
+            connection.execute(sql, algorithm="memory")
 
     def test_force_prejoin_on_single_table_raises(self, car_dealer):
         with pytest.raises(PlanError):
@@ -393,7 +393,7 @@ class TestJoinPlanning:
         oracle = sorted(
             car_dealer.execute(sql, algorithm="rewrite").fetchall(), key=repr
         )
-        rows = car_dealer.execute(sql, algorithm="sfs").fetchall()
+        rows = car_dealer.execute(sql, algorithm="memory").fetchall()
         assert sorted(rows, key=repr) == oracle
 
     def test_prejoin_is_not_part_of_generic_strategies(self):

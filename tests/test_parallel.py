@@ -13,14 +13,17 @@ import pytest
 from hypothesis import given, settings
 
 import repro
-from repro.engine.algorithms import maximal_indices, nested_loop_maximal
+from repro.engine.algorithms import (
+    block_nested_loops,
+    maximal_indices,
+    nested_loop_maximal,
+)
 from repro.engine.bmo import bmo_filter
 from repro.engine.compiled import best_better, flat_rank_rows
 from repro.engine.parallel import (
     ParallelExecutor,
     default_worker_count,
     hash_partitions,
-    local_skyline,
     parallel_maximal_indices,
     partition_count,
 )
@@ -73,9 +76,9 @@ class TestPartitionMergeLemma:
         union = sorted(
             i
             for members in partitions.values()
-            for i in local_skyline(better, members)
+            for i in block_nested_loops(better, members)
         )
-        merged = sorted(local_skyline(better, union))
+        merged = sorted(block_nested_loops(better, union))
         oracle = sorted(nested_loop_maximal(preference, vectors))
         assert merged == oracle, clause
 
@@ -95,7 +98,7 @@ class TestPartitionMergeLemma:
         clause = data.draw(st.sampled_from(PREFERENCES))
         preference, vectors = _prepare(clause, vectors)
         keys = [data.draw(st.integers(0, 3), label=f"g[{i}]") for i in range(len(vectors))]
-        serial = bmo_filter(preference, vectors, group_keys=keys, algorithm="bnl")
+        serial = bmo_filter(preference, vectors, group_keys=keys, algorithm="memory")
         with ParallelExecutor(max_workers=2, min_partition_rows=8) as ex:
             parallel = ex.grouped_maximal_indices(preference, vectors, keys)
         assert parallel == serial, clause

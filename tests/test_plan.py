@@ -10,14 +10,13 @@ cosima and shop workloads.
 import pytest
 
 import repro
-from repro.engine.algorithms import ALGORITHMS, maximal_indices, nested_loop_maximal
+from repro.engine.algorithms import maximal_indices, nested_loop_maximal
 from repro.errors import ParseError, PlanError
 from repro.model.builder import build_preference
 from repro.plan import (
     IN_MEMORY_STRATEGIES,
     STRATEGIES,
     PlanCache,
-    choose_algorithm,
     choose_strategy,
     estimate_costs,
     estimate_selectivity,
@@ -108,11 +107,11 @@ class TestExplainExecution:
     def test_explain_honours_pinned_algorithm(self, fixture_connection):
         cursor = fixture_connection.execute(
             "EXPLAIN PREFERENCE SELECT * FROM car PREFERRING LOWEST(price)",
-            algorithm="sfs",
+            algorithm="memory",
         )
         report = dict(cursor.fetchall())
-        assert cursor.plan.strategy == "sfs"
-        assert report["strategy"].startswith("sfs")
+        assert cursor.plan.strategy == "memory"
+        assert report["strategy"].startswith("memory")
         assert "[forced]" in report["strategy"]
 
     def test_result_cleared_by_later_statements(self, fixture_connection):
@@ -465,14 +464,10 @@ class TestCostModel:
         estimates = estimate_costs(16_000, 3)
         assert choose_strategy(estimates) in IN_MEMORY_STRATEGIES
 
-    def test_choose_algorithm_is_executable(self):
-        for n in (10, 1000, 50_000):
-            assert choose_algorithm(n, 3) in ALGORITHMS
-
     def test_wide_rows_penalise_in_memory(self):
         narrow = estimate_costs(600, 4, row_width=7)
         wide = estimate_costs(600, 4, row_width=74)
-        assert wide["bnl"].seconds > narrow["bnl"].seconds
+        assert wide["memory"].seconds > narrow["memory"].seconds
         assert wide["rewrite"].seconds == narrow["rewrite"].seconds
 
     def test_backend_choice_prices_process_overlap(self):
@@ -505,13 +500,13 @@ class TestCostModel:
             assert degree == 1.0  # parallel_efficiency is zero on CPython
 
 
-class TestAutoAlgorithm:
-    def test_auto_matches_the_oracle(self):
+class TestMemoryAlgorithm:
+    def test_memory_matches_the_oracle(self):
         preference = build_preference(
             parse_preferring("LOWEST(x) AND HIGHEST(y)")
         )
         vectors = [(i % 13, (i * 7) % 11) for i in range(200)]
-        assert maximal_indices(preference, vectors, "auto") == sorted(
+        assert maximal_indices(preference, vectors, "memory") == sorted(
             nested_loop_maximal(preference, vectors)
         )
 
@@ -534,10 +529,10 @@ class TestStrategyExecution:
 
     def test_in_memory_path_flags(self, fixture_connection):
         cursor = fixture_connection.execute(
-            "SELECT * FROM car PREFERRING LOWEST(price)", algorithm="bnl"
+            "SELECT * FROM car PREFERRING LOWEST(price)", algorithm="memory"
         )
         assert cursor.was_rewritten is True
-        assert cursor.plan.strategy == "bnl"
+        assert cursor.plan.strategy == "memory"
         assert "NOT EXISTS" not in cursor.executed_sql
         assert cursor.plan.pushdown_sql == cursor.executed_sql
 
@@ -547,8 +542,8 @@ class TestStrategyExecution:
             "AND HIGHEST(power) ORDER BY price DESC LIMIT 3"
         )
         rewrite = fixture_connection.execute(sql, algorithm="rewrite").fetchall()
-        bnl = fixture_connection.execute(sql, algorithm="sfs").fetchall()
-        assert rewrite == bnl
+        memory = fixture_connection.execute(sql, algorithm="memory").fetchall()
+        assert rewrite == memory
 
     def test_but_only_threshold_in_memory(self, fixture_connection):
         sql = (
@@ -557,8 +552,8 @@ class TestStrategyExecution:
             "BUT ONLY LEVEL(color) <= 2"
         )
         rewrite = fixture_connection.execute(sql, algorithm="rewrite").fetchall()
-        dnc = fixture_connection.execute(sql, algorithm="dnc").fetchall()
-        assert rewrite == dnc
+        memory = fixture_connection.execute(sql, algorithm="memory").fetchall()
+        assert rewrite == memory
 
     def test_named_preference_inlined_for_engine(self, fixture_connection):
         fixture_connection.execute(
@@ -566,8 +561,8 @@ class TestStrategyExecution:
         )
         sql = "SELECT * FROM trips PREFERRING PREFERENCE frugal"
         rewrite = fixture_connection.execute(sql, algorithm="rewrite").fetchall()
-        bnl = fixture_connection.execute(sql, algorithm="bnl").fetchall()
-        assert rewrite == bnl
+        memory = fixture_connection.execute(sql, algorithm="memory").fetchall()
+        assert rewrite == memory
 
     def test_joins_are_in_memory_eligible(self, fixture_connection):
         # Joins are first-class in-memory citizens now: the pushdown
@@ -581,8 +576,8 @@ class TestStrategyExecution:
             fixture_connection.execute(sql, algorithm="rewrite").fetchall(),
             key=repr,
         )
-        cursor = fixture_connection.execute(sql, algorithm="bnl")
-        assert cursor.plan.strategy == "bnl"
+        cursor = fixture_connection.execute(sql, algorithm="memory")
+        assert cursor.plan.strategy == "memory"
         assert sorted(cursor.fetchall(), key=repr) == oracle
 
     def test_forcing_in_memory_on_host_only_shape_raises(self, fixture_connection):
@@ -593,7 +588,7 @@ class TestStrategyExecution:
             "FROM oldtimer PREFERRING LOWEST(age)"
         )
         with pytest.raises(PlanError):
-            fixture_connection.execute(sql, algorithm="bnl")
+            fixture_connection.execute(sql, algorithm="memory")
         assert fixture_connection.execute(sql).plan.strategy == "rewrite"
 
     def test_unknown_strategy_rejected(self, fixture_connection):
@@ -602,6 +597,14 @@ class TestStrategyExecution:
                 "SELECT * FROM oldtimer PREFERRING LOWEST(age)",
                 algorithm="quantum",
             )
+
+    @pytest.mark.parametrize("removed", ["bnl", "sfs", "dnc"])
+    def test_removed_strategy_pins_rejected(self, fixture_connection, removed):
+        sql = "SELECT * FROM oldtimer PREFERRING LOWEST(age)"
+        with pytest.raises(PlanError, match="unknown strategy"):
+            fixture_connection.execute(sql, algorithm=removed)
+        with pytest.raises(PlanError, match="unknown strategy"):
+            fixture_connection.plan(sql, force=removed)
 
     def test_auto_picks_in_memory_at_scale(self, connection):
         from repro.workloads.distributions import (

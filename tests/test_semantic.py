@@ -333,7 +333,7 @@ def test_explain_reports_semantic_rows(keyed_connection):
     assert "not null(price) [schema]" in report["constraints used"]
     winners = sorted(keyed_connection.execute(query).fetchall())
     oracle = sorted(
-        keyed_connection.execute(query, algorithm="bnl").fetchall()
+        keyed_connection.execute(query, algorithm="memory").fetchall()
     )
     assert winners == oracle
 
@@ -347,13 +347,13 @@ def test_explain_reports_keyed_elimination(keyed_connection):
     assert report["semantic rewrite"] == "winnow-eliminated (keyed selection)"
     assert report["constraints used"] == "key(id) [schema]"
     winners = keyed_connection.execute(query).fetchall()
-    oracle = keyed_connection.execute(query, algorithm="bnl").fetchall()
+    oracle = keyed_connection.execute(query, algorithm="memory").fetchall()
     assert sorted(winners) == sorted(oracle)
 
 
 def test_forced_strategies_bypass_semantic_rewrite(keyed_connection):
     query = "SELECT id FROM car PREFERRING LOWEST(price)"
-    for strategy in ("rewrite", "bnl", "sfs", "dnc", "parallel"):
+    for strategy in ("rewrite", "memory", "parallel"):
         cursor = keyed_connection.execute(query, algorithm=strategy)
         assert cursor.plan is not None
         assert cursor.plan.semantic_rule is None, strategy
@@ -430,7 +430,7 @@ def test_dml_retires_observed_fd_rewrite():
         )
         assert connection.constraints.probe_count > probes_before
         winners = sorted(connection.execute(query).fetchall())
-        oracle = sorted(connection.execute(query, algorithm="bnl").fetchall())
+        oracle = sorted(connection.execute(query, algorithm="memory").fetchall())
         assert winners == oracle == [(1, 10)]
     finally:
         connection.close()
@@ -447,7 +447,7 @@ def test_semantic_plans_replan_instead_of_rebinding():
         query = "SELECT * FROM t WHERE k = ? PREFERRING LOWEST(v)"
         for key in (1, 3, 1):
             rows = connection.execute(query, (key,)).fetchall()
-            oracle = connection.execute(query, (key,), algorithm="bnl").fetchall()
+            oracle = connection.execute(query, (key,), algorithm="memory").fetchall()
             assert sorted(rows) == sorted(oracle), key
     finally:
         connection.close()
@@ -476,7 +476,7 @@ def test_view_over_semantic_query_keeps_maintaining():
                 connection.raw.execute("SELECT * FROM best").fetchall()
             )
             fresh = sorted(
-                connection.execute(view_query, algorithm="bnl").fetchall()
+                connection.execute(view_query, algorithm="memory").fetchall()
             )
             assert materialized == fresh, statement
     finally:

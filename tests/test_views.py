@@ -32,7 +32,7 @@ VIEW_QUERY = "SELECT * FROM items PREFERRING LOWEST(a) AND LOWEST(b)"
 
 
 def oracle(connection, query=VIEW_QUERY):
-    return sorted(connection.execute(query, algorithm="bnl").fetchall(), key=repr)
+    return sorted(connection.execute(query, algorithm="memory").fetchall(), key=repr)
 
 
 def materialized(connection, name="best"):
@@ -438,7 +438,7 @@ def test_rowid_changing_update_falls_back_to_recompute():
     assert materialized(connection) == sorted(
         connection.execute(
             "SELECT * FROM keyed PREFERRING LOWEST(pk) AND LOWEST(b)",
-            algorithm="bnl",
+            algorithm="memory",
         ).fetchall(),
         key=repr,
     )
@@ -483,6 +483,163 @@ def test_views_created_by_another_connection_are_maintained(tmp_path):
     ) == [(0, 0, "r")]
     writer.close()
     other.close()
+
+
+def test_pooled_writers_cannot_interleave_maintenance(tmp_path, monkeypatch):
+    """Two pooled writers must not interleave between prepare and finish.
+
+    Writer A captures the pre-image of its DELETE, then pauses; writer B
+    updates the same row in that gap.  Without the pool's maintenance
+    lock, A's finish removes the stale pre-image while B's updated row
+    stays materialized.  With it, B waits until A has finished (A stops
+    waiting for B after a bounded pause), and the view matches a
+    recompute.
+    """
+    import threading
+
+    from repro.engine.incremental import ViewMaintainer
+    from repro.server import ConnectionPool
+
+    database = str(tmp_path / "race.db")
+    setup = repro.connect(database)
+    setup.execute("CREATE TABLE items (id INTEGER, a INTEGER)")
+    setup.execute("INSERT INTO items VALUES (1, 5), (2, 7)")
+    setup.execute(
+        "CREATE PREFERENCE VIEW best AS SELECT * FROM items PREFERRING LOWEST(a)"
+    )
+    setup.commit()
+    setup.close()
+
+    captured = threading.Event()
+    b_done = threading.Event()
+    original = ViewMaintainer.prepare
+
+    def pausing_prepare(self, *args, **kwargs):
+        pending = original(self, *args, **kwargs)
+        if threading.current_thread().name == "writer-a":
+            captured.set()
+            b_done.wait(timeout=1.0)
+        return pending
+
+    monkeypatch.setattr(ViewMaintainer, "prepare", pausing_prepare)
+    pool = ConnectionPool(database, size=2)
+    errors: list[BaseException] = []
+
+    def writer_a():
+        try:
+            with pool.connection() as connection:
+                connection.execute("DELETE FROM items WHERE id = 1")
+        except Exception as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    def writer_b():
+        try:
+            captured.wait(timeout=5.0)
+            with pool.connection() as connection:
+                connection.execute("UPDATE items SET a = 3 WHERE id = 1")
+        except Exception as error:
+            errors.append(error)
+        finally:
+            b_done.set()
+
+    threads = [
+        threading.Thread(target=writer_a, name="writer-a"),
+        threading.Thread(target=writer_b, name="writer-b"),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        with pool.connection() as connection:
+            recomputed = sorted(
+                connection.execute(
+                    "SELECT * FROM items PREFERRING LOWEST(a)",
+                    algorithm="rewrite",
+                ).fetchall()
+            )
+            assert sorted(
+                connection.raw.execute("SELECT * FROM best").fetchall()
+            ) == recomputed == [(2, 7)]
+        assert pool.shared.maintenance_runs == 2
+    finally:
+        pool.close()
+
+
+def test_concurrent_pooled_writers_keep_the_view_exact(tmp_path):
+    """Stress: more pooled writers than cores, mixed DML, a short switch
+    interval; the view must equal a recompute once they are done."""
+    import random
+    import sys
+    import threading
+
+    from repro.server import ConnectionPool
+
+    database = str(tmp_path / "stress.db")
+    setup = repro.connect(database)
+    setup.execute("CREATE TABLE items (id INTEGER, a INTEGER, b INTEGER)")
+    setup.cursor().executemany(
+        "INSERT INTO items VALUES (?, ?, ?)",
+        [(i, (i * 7) % 23, (i * 11) % 19) for i in range(40)],
+    )
+    setup.execute(
+        "CREATE PREFERENCE VIEW best AS "
+        "SELECT * FROM items PREFERRING LOWEST(a) AND LOWEST(b)"
+    )
+    setup.commit()
+    setup.close()
+
+    pool = ConnectionPool(database, size=4)
+    errors: list[Exception] = []
+
+    def writer(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(25):
+                with pool.connection() as connection:
+                    row = rng.randrange(40)
+                    if rng.random() < 0.5:
+                        connection.execute(
+                            "INSERT INTO items VALUES (?, ?, ?)",
+                            (row, rng.randrange(23), rng.randrange(19)),
+                        )
+                    else:
+                        connection.execute(
+                            "UPDATE items SET a = ? WHERE id = ?",
+                            (rng.randrange(23), row),
+                        )
+        except Exception as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=writer, args=(seed,)) for seed in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        with pool.connection() as connection:
+            recomputed = sorted(
+                connection.execute(
+                    "SELECT * FROM items PREFERRING LOWEST(a) AND LOWEST(b)",
+                    algorithm="rewrite",
+                ).fetchall()
+            )
+            assert sorted(
+                connection.raw.execute("SELECT * FROM best").fetchall()
+            ) == recomputed
+    finally:
+        pool.close()
 
 
 def test_comment_prefixed_dml_maintains_the_view():
@@ -559,7 +716,7 @@ def test_preference_insert_statement_maintains_the_view():
     )
     assert materialized(connection) == sorted(
         connection.execute(
-            "SELECT * FROM picks PREFERRING LOWEST(a)", algorithm="bnl"
+            "SELECT * FROM picks PREFERRING LOWEST(a)", algorithm="memory"
         ).fetchall(),
         key=repr,
     )
@@ -634,7 +791,7 @@ def test_matching_query_is_answered_from_the_view():
 def test_forced_strategies_bypass_the_view():
     connection = fresh_connection()
     connection.execute(f"CREATE PREFERENCE VIEW best AS {VIEW_QUERY}")
-    for strategy in ("rewrite", "bnl", "sfs", "dnc", "parallel"):
+    for strategy in ("rewrite", "memory", "parallel"):
         cursor = connection.execute(VIEW_QUERY, algorithm=strategy)
         assert cursor.plan.strategy == strategy
     connection.close()
