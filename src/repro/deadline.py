@@ -9,7 +9,7 @@ every execution path interruptible:
 
 * the driver arms it per statement (``execute(..., timeout_ms=...)``)
   and publishes it thread-locally via :func:`deadline_scope`, so the
-  in-memory kernels — BNL/SFS/DNC loops, the blocked numpy Pareto
+  in-memory kernels — the skyline loops, the blocked numpy Pareto
   kernel, the partitioned executor's tasks — can poll it *amortized*
   (every N comparisons / once per block) without threading a parameter
   through every signature,
@@ -117,9 +117,11 @@ def sqlite_interrupt(raw: sqlite3.Connection, deadline: Deadline | None) -> Iter
     """Arm ``raw.interrupt()`` to fire at the deadline's expiry.
 
     ``sqlite3.Connection.interrupt`` is documented safe to call from
-    another thread and aborts any in-flight statement; statements that
-    finish before expiry cancel the timer on exit, so a stale interrupt
-    cannot leak into the connection's next query.
+    another thread and aborts any in-flight statement.  Statements that
+    finish before expiry disarm the watchdog on exit: ``Timer.cancel``
+    cannot stop a timer thread already past its wait, so the callback
+    checks an armed flag under a lock that the exit takes too — a stale
+    interrupt can never land on the connection's next query.
     """
     if deadline is None:
         yield
@@ -127,10 +129,20 @@ def sqlite_interrupt(raw: sqlite3.Connection, deadline: Deadline | None) -> Iter
     remaining = deadline.remaining()
     if remaining <= 0:
         raise QueryTimeout()
-    timer = threading.Timer(remaining, raw.interrupt)
+    lock = threading.Lock()
+    armed = True
+
+    def fire() -> None:
+        with lock:
+            if armed:
+                raw.interrupt()
+
+    timer = threading.Timer(remaining, fire)
     timer.daemon = True
     timer.start()
     try:
         yield
     finally:
         timer.cancel()
+        with lock:
+            armed = False

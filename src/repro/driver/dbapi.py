@@ -79,7 +79,13 @@ from repro.plan.planner import (
     plan_statement,
     rebind_plan,
 )
-from repro.plan.session import SessionCache, SessionEntry, conjoin
+from repro.plan.session import (
+    SessionCache,
+    SessionEntry,
+    SessionMatch,
+    conjoin,
+    session_plan,
+)
 from repro.plan.statistics import StatisticsCache, TableStatistics
 from repro.sql import ast
 from repro.sql.params import bind_parameters
@@ -691,21 +697,20 @@ class Connection:
         except (CatalogError, PlanError, PreferenceConstructionError):
             return None
 
-    def _session_matcher(self):
-        """Planner hook consulting the session cache, or None when it
-        cannot possibly match (disabled, or nothing cached)."""
-        if not self._session_enabled or not self._session.entries:
+    def _session_match(self, statement: ast.Statement) -> SessionMatch | None:
+        """The session cache's judgment on one bound preference SELECT
+        (None when reuse is off, nothing is cached or nothing relates)."""
+        if (
+            not self._session_enabled
+            or not self._session.entries
+            or not isinstance(statement, ast.Select)
+            or statement.preferring is None
+        ):
             return None
-
-        def match(select: ast.Select):
-            if select.preferring is None:
-                return None
-            term = self._canonical_term(select.preferring)
-            if term is None:
-                return None
-            return self._session.match(select, term, self._session_versions())
-
-        return match
+        term = self._canonical_term(statement.preferring)
+        if term is None:
+            return None
+        return self._session.match(statement, term, self._session_versions())
 
     def _store_session(self, select: ast.Statement, winners: Relation) -> None:
         """Cache one query's winner base for later refinement reuse."""
@@ -995,23 +1000,50 @@ class Connection:
             statement = statement.statement
         if params:
             statement = bind_parameters(statement, params)
-        return plan_statement(
-            statement,
-            schema=self.schema(),
-            resolver=self.catalog.resolve,
-            statistics=self.statistics.for_table,
-            force=force,
-            workers=self._effective_workers(),
-            # A parameterized execution must never be answered from a
-            # view: the bound literals can make one binding match the
-            # definition while the cached plan is reused for others.
-            views=self._view_matcher() if not params else None,
-            constraints=self.constraints,
-            # Session matching is safe under parameters — it runs on the
-            # *bound* statement, so every binding is judged on its own
-            # literal WHERE conjuncts.
-            session=self._session_matcher() if force is None else None,
-        )
+        return self._plan_bound(statement, bool(params), force)[0]
+
+    def _plan_bound(
+        self,
+        bound: ast.Statement,
+        parameterized: bool = False,
+        force: str | None = None,
+        cached: Plan | None = None,
+    ) -> tuple[Plan, Plan | None]:
+        """The one planning front door of execution, EXPLAIN and :meth:`plan`.
+
+        A view answering ``bound`` keeps its precedence; next a servable
+        session match is answered without planning; else ``cached`` (a
+        plan cache hit rebound to ``bound``) or a fresh plan.  Also
+        returns the planner's own plan for the plan cache, if it ran."""
+        # A parameterized execution must never be answered from a view:
+        # the bound literals can make one binding match the definition
+        # while the cached plan is reused for others.
+        views = self._view_matcher() if not parameterized else None
+        # Session matching is safe under parameters — it runs on the
+        # *bound* statement, so every binding is judged on its own
+        # literal WHERE conjuncts.  Pinned strategies never reuse.
+        match = self._session_match(bound) if force is None else None
+        if match is not None and match.servable:
+            if views is None or views(bound) is None:
+                return session_plan(bound, match, self.catalog.resolve), None
+        planned = None
+        plan = cached
+        if plan is None:
+            plan = planned = plan_statement(
+                bound,
+                schema=self.schema(),
+                resolver=self.catalog.resolve,
+                statistics=self.statistics.for_table,
+                force=force,
+                workers=self._effective_workers(),
+                views=views,
+                constraints=self.constraints,
+            )
+        if match is not None:
+            # A match that was not served only annotates a copy, for
+            # EXPLAIN: cached plans are shared across a pool.
+            plan = replace(plan, session_match=match)
+        return plan, planned
 
     def explain(self, sql: str) -> str:
         """Explain how a statement would be executed, without running it.
@@ -1051,7 +1083,9 @@ class Connection:
         lines = ["preference query", "", "preference tree:"]
         lines.append(describe(normalize(query.preferring), indent=1))
         lines += ["", plan_text(plan)]
-        host_sql = plan.pushdown_sql or plan.rewritten_sql
+        host_sql = plan.pushdown_sql or plan.rewritten_sql or plan.session_delta_sql
+        if host_sql is None:
+            return "\n".join(lines + ["", "host plan: none (cached winners)"])
         lines += ["", "host plan:"]
         try:
             host_plan = self._raw.execute(
@@ -1147,6 +1181,10 @@ class Cursor:
             return self._execute_inner(sql, params, algorithm)
         deadline.check()
         raw = self._connection._raw
+        if _PREFERENCE_HINT.search(sql):
+            # First use creates the catalog tables, before the watchdog:
+            # an interrupted write rolls back the whole open transaction.
+            self._connection.catalog
         try:
             with deadline_scope(deadline), sqlite_interrupt(raw, deadline):
                 self._execute_inner(sql, params, algorithm)
@@ -1268,69 +1306,38 @@ class Cursor:
             return self._execute_explain(statement, params, algorithm)
 
         bound = bind_parameters(statement, params) if params else statement
-        fresh = entry is not None and entry.data_version == connection.data_version
-        plan: Plan | None = None
-        if entry is not None and entry.plan is not None and fresh:
-            plan = entry.plan
-            if params or not entry.param_free:
-                if plan.semantic_rule is not None:
+        cached: Plan | None = None
+        if entry is not None and entry.data_version == connection.data_version:
+            cached = entry.plan
+            if cached is not None and (params or not entry.param_free):
+                if cached.semantic_rule is not None:
                     # Semantic SQL embeds the constraint analysis of the
                     # originally bound literals; rebinding would clobber
                     # it with the NOT EXISTS rewrite, so re-plan instead.
-                    plan = None
+                    cached = None
                 else:
-                    plan = rebind_plan(
-                        plan,
+                    cached = rebind_plan(
+                        cached,
                         bound,
                         schema=connection.schema(),
                         resolver=connection.catalog.resolve,
                     )
-        if (
-            plan is not None
-            and use_cache
-            and algorithm is None
-            and isinstance(bound, ast.Select)
-            and bound.preferring is not None
-        ):
-            # The cached plan predates the current session-cache contents;
-            # when a stored winner base now provably serves this query,
-            # drop the hit and re-plan so the session strategy competes.
-            matcher = connection._session_matcher()
-            if matcher is not None:
-                match = matcher(bound)
-                if match is not None and match.servable:
-                    plan = None
-        if plan is None:
+        plan, planned = connection._plan_bound(bound, bool(params), algorithm, cached)
+        if use_cache and cached is None:
             # First sighting, or the data version moved under a cached
-            # plan: re-plan so the strategy tracks the current statistics
-            # (parsing was still skipped on the stale-hit path).
-            plan = plan_statement(
-                bound,
-                schema=connection.schema(),
-                resolver=connection.catalog.resolve,
-                statistics=connection.statistics.for_table,
-                force=algorithm,
-                workers=connection._effective_workers(),
-                views=connection._view_matcher() if not params else None,
-                constraints=connection.constraints,
-                session=connection._session_matcher() if use_cache else None,
+            # plan: the fresh plan tracks the current statistics (parsing
+            # was still skipped on the stale-hit path).  A session-served
+            # statement caches its parse only.
+            connection._plan_cache.put(
+                sql,
+                connection._plan_version(),
+                _CachedStatement(
+                    statement=statement,
+                    plan=planned,
+                    param_free=not params,
+                    data_version=connection.data_version,
+                ),
             )
-            if use_cache:
-                connection._plan_cache.put(
-                    sql,
-                    connection._plan_version(),
-                    _CachedStatement(
-                        statement=statement,
-                        # A session plan is valid only against the exact
-                        # cached entry it matched; caching it could serve
-                        # a stale winner base later.  Cache the parse
-                        # only — the next execution re-plans, which
-                        # re-validates the match against live versions.
-                        plan=None if plan.strategy == SESSION_STRATEGY else plan,
-                        param_free=not params,
-                        data_version=connection.data_version,
-                    ),
-                )
 
         if plan.strategy == "passthrough":
             return self._passthrough(sql, params)
@@ -1504,17 +1511,7 @@ class Cursor:
         connection = self._connection
         inner = statement.statement
         bound = bind_parameters(inner, params) if params else inner
-        plan = plan_statement(
-            bound,
-            schema=connection.schema(),
-            resolver=connection.catalog.resolve,
-            statistics=connection.statistics.for_table,
-            force=algorithm,
-            workers=connection._effective_workers(),
-            views=connection._view_matcher() if not params else None,
-            constraints=connection.constraints,
-            session=connection._session_matcher() if algorithm is None else None,
-        )
+        plan, _planned = connection._plan_bound(bound, bool(params), algorithm)
         stats = connection.plan_cache_stats()
         cache_note = (
             f"{stats.hits} hits / {stats.misses} misses, "

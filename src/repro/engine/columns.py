@@ -13,7 +13,7 @@ in-memory half of that idea:
   the compiled dominance comparator, the serial skyline kernels and the
   partitioned parallel executor.  The seed core re-derived
   these ranks three times per query (``dominance_key`` per row,
-  ``compile_better`` per group, ``flat_rank_rows`` per executor).
+  ``compile_better`` per group and once more per parallel executor).
 * :func:`compute_rank_columns` fills the columns from operand vectors
   (one tight Python loop per leaf);
   :func:`rank_columns_from_values` adopts rank values the **host

@@ -102,33 +102,6 @@ def _make(node: tuple, ranks: RankColumns) -> tuple[BetterFn, EqualFn]:
     return better, equal
 
 
-def flat_rank_rows(
-    preference: Preference,
-    vectors: Sequence[tuple],
-    ranks: RankColumns | None = None,
-) -> tuple[list[tuple[float, ...]], str] | None:
-    """Per-row rank tuples for *flat* rank-based trees, or None.
-
-    When the preference is a single rank-based base, or a Pareto/cascade
-    combination of rank-based bases (after the associativity flattening
-    of :func:`~repro.engine.columns.rank_shape`, which turns
-    same-constructor nesting like ``(P1 AND P2) AND P3`` into a flat
-    tree), dominance reduces to tuple arithmetic on one precomputed rank
-    row per input row: componentwise ``<=`` plus inequality for
-    ``mode == "pareto"``, plain lexicographic ``<`` for
-    ``mode == "cascade"`` — the exact comparisons the compiled closures
-    perform, so consumers inherit their semantics (including for NaN
-    ranks, which only custom rank implementations can produce).  Mixed
-    nesting (a Pareto inside a cascade) and EXPLICIT bases return None —
-    callers fall back to :func:`best_better` closures.
-    """
-    if ranks is None:
-        ranks = compute_rank_columns(preference, vectors)
-    if ranks is None or ranks.mode is None:
-        return None
-    return ranks.rows, ranks.mode
-
-
 def compile_better(
     preference: Preference,
     vectors: Sequence[tuple],

@@ -12,9 +12,11 @@ SELECT (:data:`STRATEGIES`):
   of :mod:`repro.engine.parallel` (per-group tasks for GROUPING queries,
   hash-partition → local skylines → merge filter otherwise).
 
-Two more are priced only where they apply: ``prejoin`` (winnow before a
-join) and ``session`` (re-winnow a cached winner base).  The model prices each strategy in seconds from three inputs: the estimated
-candidate count ``n`` (row count × System-R-style WHERE selectivity), the
+One more is priced only where it applies: ``prejoin`` (winnow before a
+join).  Session reuse (``session``, re-winnow a cached winner base) is
+never priced: the driver serves a provably refined query before it
+plans.  The model prices each strategy in seconds from three inputs: the
+estimated candidate count ``n`` (row count × System-R-style WHERE selectivity), the
 estimated maximal-set size ``s`` (the classical ``(ln n)^(d-1)/(d-1)!``
 skyline estimate for ``d`` preference dimensions, corrected for duplicate
 operand values via distinct counts), and per-operation constants calibrated
@@ -53,16 +55,13 @@ STRATEGIES: tuple[str, ...] = ("rewrite",) + IN_MEMORY_STRATEGIES
 PREJOIN_STRATEGY: str = "prejoin"
 
 #: Session reuse: re-winnow the connection's cached winner base ∪ a
-#: bounded delta instead of rescanning.  Like :data:`PREJOIN_STRATEGY`
-#: it stays out of :data:`STRATEGIES` — it is only priceable when the
-#: session cache holds a provably refined entry, so generic "every
-#: strategy" loops must not force it.
+#: bounded delta instead of rescanning.  Never priced and never
+#: forceable: the driver answers a provably refined query this way
+#: before planning (:mod:`repro.plan.session`).
 SESSION_STRATEGY: str = "session"
 
 #: Deterministic tie-breaking order across every priceable strategy.
-_TIE_ORDER: tuple[str, ...] = (
-    ("rewrite", PREJOIN_STRATEGY) + IN_MEMORY_STRATEGIES + (SESSION_STRATEGY,)
-)
+_TIE_ORDER: tuple[str, ...] = ("rewrite", PREJOIN_STRATEGY) + IN_MEMORY_STRATEGIES
 
 #: Assumed distinct count for preference dimensions whose operand is a
 #: computed expression (no column statistics available).
@@ -623,51 +622,3 @@ def semantic_pass_estimate(
         steps=tuple(steps),
     )
 
-
-def session_reuse_estimate(
-    winners: float,
-    delta: float,
-    table_rows: float,
-    dimensions: int,
-    distinct_counts: Sequence[int | None] = (),
-    model: CostModel = DEFAULT_COST_MODEL,
-    delta_scan: bool = False,
-    row_width: int | None = None,
-) -> CostEstimate:
-    """Price answering from the session cache's winner base.
-
-    ``winners`` cached winner-base rows are already in memory; a WHERE
-    weakening additionally scans the table once for the delta rows
-    (``delta`` estimated survivors of the delta condition).  The
-    re-winnow then runs over ``winners + delta`` rows — for refinement
-    chains that is orders of magnitude below any full-scan strategy,
-    which is exactly why the strategy wins whenever it is priceable.
-    """
-    m = max(0.0, float(winners))
-    d_rows = max(0.0, float(delta)) if delta_scan else 0.0
-    pool = max(1.0, m + d_rows)
-    s = max(1.0, estimate_skyline_size(pool, dimensions, distinct_counts))
-    width_factor = max(1.0, (row_width or 8) / 8.0)
-    steps: list[tuple[str, float]] = [
-        ("reuse cached winners", 0.0),
-    ]
-    if delta_scan:
-        steps.append(
-            (
-                "delta scan",
-                model.sql_setup
-                + model.sql_probe * max(1.0, float(table_rows))
-                + model.row_fetch * width_factor * d_rows,
-            )
-        )
-    steps.append(
-        (
-            "re-winnow winners ∪ delta",
-            model.py_setup + model.py_dominance * pool * s * 0.35,
-        )
-    )
-    return CostEstimate(
-        strategy=SESSION_STRATEGY,
-        seconds=sum(seconds for _label, seconds in steps),
-        steps=tuple(steps),
-    )

@@ -33,11 +33,8 @@ _STRATEGY_LABELS = {
 }
 
 #: Cost-row order: rewrite first, then the join pushdown, then the
-#: in-memory strategies (mirrors the tie-breaking order of the model),
-#: then session reuse when the cache held a refined entry.
-_COST_ORDER = (
-    (STRATEGIES[0], PREJOIN_STRATEGY) + STRATEGIES[1:] + (SESSION_STRATEGY,)
-)
+#: in-memory strategies (mirrors the tie-breaking order of the model).
+_COST_ORDER = (STRATEGIES[0], PREJOIN_STRATEGY) + STRATEGIES[1:]
 
 
 def plan_relation(
@@ -88,7 +85,7 @@ def plan_relation(
                     for column, count in sorted(plan.statistics.distinct.items())
                 ),
             )
-    if plan.strategy != "passthrough":
+    if plan.strategy not in ("passthrough", SESSION_STRATEGY):
         add("candidates (est)", f"{plan.candidate_estimate:.0f}")
         add("maximal set (est)", f"{plan.skyline_estimate:.0f}")
     if plan.rank_source is not None and (plan.uses_engine or plan.is_prejoin):

@@ -19,7 +19,7 @@ engine evaluates over the fetched candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.deadline import active_deadline
 from repro.engine.columns import rank_shape
@@ -50,7 +50,6 @@ from repro.plan.cost import (
     parallel_backend_choice,
     planned_partitions,
     semantic_pass_estimate,
-    session_reuse_estimate,
 )
 from repro.plan.joins import (
     JoinScan,
@@ -65,12 +64,14 @@ from repro.plan.semantic import (
     SemanticRewrite,
     semantic_rewrite,
 )
-from repro.plan.session import SessionMatch
 from repro.plan.statistics import TableStatistics
 from repro.rewrite.levels import pushdown_rank_expressions
 from repro.rewrite.planner import Schema, pref_expressions, rewrite_statement
 from repro.sql import ast
 from repro.sql.printer import quote_identifier, to_sql
+
+if TYPE_CHECKING:
+    from repro.plan.session import SessionMatch
 
 #: Alias prefix of the rank columns the SQL pushdown appends to the scan
 #: SELECT; the driver splits them off the fetched rows by position.
@@ -101,11 +102,6 @@ class MaterializedView:
 
 #: Matcher signature: SELECT statement → matching view, or None.
 ViewMatcher = Callable[[ast.Select], MaterializedView | None]
-
-#: Session matcher signature: (parameter-bound) SELECT → the judgment
-#: against the connection's session cache, or None.  Provided by the
-#: driver (:meth:`repro.driver.Connection._session_matcher`).
-SessionMatcher = Callable[[ast.Select], SessionMatch | None]
 
 
 @dataclass
@@ -173,12 +169,12 @@ class Plan:
     #: their declared/schema/observed provenance — that justified it.
     semantic_rule: str | None = None
     semantic_constraints: tuple[str, ...] = ()
-    #: Session-reuse judgment (see :mod:`repro.plan.session`): set
-    #: whenever the connection's session cache held a related entry —
-    #: servable or not, so EXPLAIN can surface the refinement relation
-    #: either way.  ``session_delta_sql`` is the bounded delta scan of a
-    #: chosen session plan (None when the old candidate set contains the
-    #: new one).
+    #: Session-reuse judgment (see :mod:`repro.plan.session`), attached
+    #: by the driver whenever the connection's session cache held a
+    #: related entry — servable or not, so EXPLAIN can surface the
+    #: refinement relation either way.  ``session_delta_sql`` is the
+    #: bounded delta scan of a ``session`` plan (None when the old
+    #: candidate set contains the new one).
     session_match: SessionMatch | None = None
     session_delta_sql: str | None = None
 
@@ -207,7 +203,6 @@ def plan_statement(
     workers: int | None = None,
     views: ViewMatcher | None = None,
     constraints: ConstraintProvider | None = None,
-    session: SessionMatcher | None = None,
 ) -> Plan:
     """Plan one (parameter-bound) statement.
 
@@ -221,11 +216,8 @@ def plan_statement(
     executions always compute from the base tables).  ``constraints``
     enables the semantic-optimization pass (also skipped under
     ``force``, so pinned executions evaluate the original preference).
-    ``session`` consults the connection's session cache for a previous
-    winner base this query provably refines — a servable match adds a
-    ``session`` strategy to the priced candidates (and suppresses the
-    semantic pass, whose rewritten statement would no longer line up
-    with the cached entry's canonical form).
+    Session reuse is not planned here: the driver serves a provably
+    refined query from its session cache before it ever calls the planner.
     """
     deadline = active_deadline()
     if deadline is not None:
@@ -243,22 +235,12 @@ def plan_statement(
         if hit is not None:
             return _view_plan(statement, hit, statistics)
 
-    session_match: SessionMatch | None = None
-    if (
-        session is not None
-        and force is None
-        and isinstance(statement, ast.Select)
-        and statement.preferring is not None
-    ):
-        session_match = session(statement)
-
     semantic: SemanticRewrite | None = None
     if (
         constraints is not None
         and force is None
         and isinstance(statement, ast.Select)
         and statement.preferring is not None
-        and (session_match is None or not session_match.servable)
     ):
         semantic = _try_semantic(statement, resolver, constraints)
         if semantic is not None:
@@ -399,27 +381,6 @@ def plan_statement(
             model=model,
         )
 
-    if (
-        session_match is not None
-        and session_match.servable
-        and table is not None
-    ):
-        delta_estimate = 0.0
-        if session_match.delta_where is not None:
-            delta_estimate = row_count * estimate_selectivity(
-                session_match.delta_where, lookup
-            )
-        estimates[SESSION_STRATEGY] = session_reuse_estimate(
-            winners=float(len(session_match.entry.winners)),
-            delta=delta_estimate,
-            table_rows=row_count,
-            dimensions=dimensions,
-            distinct_counts=distinct_counts,
-            model=model,
-            delta_scan=session_match.delta_where is not None,
-            row_width=_row_width(table, schema),
-        )
-
     if force is not None:
         if force not in STRATEGIES + (PREJOIN_STRATEGY,):
             raise PlanError(
@@ -496,20 +457,6 @@ def plan_statement(
             plan.notes.append(
                 "semantic reduction: PREFERRING "
                 + to_sql(semantic.select.preferring)
-            )
-    if session_match is not None:
-        plan.session_match = session_match
-        if strategy == SESSION_STRATEGY:
-            # The residual is the original query block over the cached
-            # winner base ∪ delta; no pushdown scan runs, so
-            # ``pushdown_sql`` stays None and rank columns (which only
-            # pay off on large scans) are recomputed in Python over the
-            # small re-winnow input.
-            _pushdown, plan.residual, _width = in_memory_parts(select, resolver)
-            if session_match.delta_select is not None:
-                plan.session_delta_sql = to_sql(session_match.delta_select)
-            plan.notes.append(
-                "answered from the session cache: " + session_match.relation
             )
     rank_exprs = (
         probe.sql_exprs
@@ -865,7 +812,7 @@ def _row_width(table: str | None, schema: Schema | None) -> int | None:
 # Eligibility and statistics wishlist
 
 
-def _surface_ineligibility(
+def surface_ineligibility(
     statement: ast.Statement, select: ast.Select
 ) -> str:
     """Why a statement cannot run in memory regardless of its FROM shape."""
@@ -906,7 +853,7 @@ def _scan_shape(
     is set for an in-memory-eligible statement; otherwise both are None
     and ``reason`` says why the plan is host-only.
     """
-    reason = _surface_ineligibility(statement, select)
+    reason = surface_ineligibility(statement, select)
     if reason:
         return None, None, reason
     if len(select.sources) == 1 and isinstance(select.sources[0], ast.TableRef):

@@ -41,7 +41,11 @@ from dataclasses import dataclass, field
 
 from repro.engine.relation import Relation
 from repro.model.algebra import Refinement, refines
+from repro.model.builder import NameResolver
+from repro.plan.cost import SESSION_STRATEGY
+from repro.plan.planner import Plan, in_memory_parts, surface_ineligibility
 from repro.sql import ast
+from repro.sql.printer import to_sql
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,12 @@ class SessionEntry:
 class SessionMatch:
     """The judgment between a cached entry and one new query.
 
-    ``servable`` — the refinement is order preserving *and* any WHERE
-    strengthening stays on grouping columns, so re-winnowing cached
-    winners ∪ delta provably reproduces fresh evaluation.  A non-servable
-    match is kept for the EXPLAIN ``refinement relation`` row only.
+    ``servable`` — the refinement is order preserving, any WHERE
+    strengthening stays on grouping columns and the query can run in
+    memory at all, so re-winnowing cached winners ∪ delta provably
+    reproduces fresh evaluation; the driver then answers it without
+    planning.  A non-servable match is kept for the EXPLAIN
+    ``refinement relation`` row only.
     """
 
     entry: SessionEntry
@@ -235,6 +241,10 @@ def analyze_refinement(
         else:
             servable = False
             reasons.append("WHERE strengthened beyond the grouping columns")
+    surface = surface_ineligibility(select, select) if servable else ""
+    if surface:
+        servable = False
+        reasons.append(f"the query needs the host database: {surface}")
 
     delta_where: ast.Expr | None = None
     delta_select: ast.Select | None = None
@@ -258,6 +268,28 @@ def analyze_refinement(
         added=tuple(added),
         delta_where=delta_where,
         delta_select=delta_select,
+    )
+
+
+def session_plan(
+    select: ast.Select, match: SessionMatch, resolver: NameResolver
+) -> Plan:
+    """The ``session`` plan of a servable match: the query block as the
+    residual over the cached winner base ∪ the bounded delta.  No
+    pushdown scan runs; rank columns are recomputed in Python over the
+    small re-winnow input."""
+    _pushdown, residual, _width = in_memory_parts(select, resolver)
+    return Plan(
+        statement=select,
+        strategy=SESSION_STRATEGY,
+        residual=residual,
+        table=select.sources[0].name,
+        dimensions=len(ast.base_terms(residual.preferring)),
+        preference_sql=to_sql(select.preferring),
+        session_match=match,
+        session_delta_sql=(
+            to_sql(match.delta_select) if match.delta_select is not None else None
+        ),
     )
 
 

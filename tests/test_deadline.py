@@ -35,6 +35,40 @@ ADVERSARIAL = (
 )
 
 
+class _CountingConnection:
+    """Stands in for a sqlite connection: counts ``interrupt()`` calls."""
+
+    interrupts = 0
+
+    def interrupt(self):
+        self.interrupts += 1
+
+
+@pytest.fixture
+def fake_timers(monkeypatch):
+    """Replace the watchdog's timer: nothing fires unless a test calls
+    the recorded ``function``, and ``cancel()`` is a no-op, as it is for
+    a timer thread already past its wait."""
+    import repro.deadline as deadline_module
+
+    timers = []
+
+    class FakeTimer:
+        def __init__(self, interval, function):
+            self.function = function
+            self.daemon = False
+            timers.append(self)
+
+        def start(self):
+            pass
+
+        def cancel(self):
+            pass
+
+    monkeypatch.setattr(deadline_module.threading, "Timer", FakeTimer)
+    return timers
+
+
 @pytest.fixture(scope="module")
 def adversarial(tmp_path_factory):
     """Anti-correlated rows: huge skylines, so every strategy runs long.
@@ -137,6 +171,41 @@ class TestDeadlinePrimitives:
         time.sleep(0.25)  # past expiry: a leaked timer would interrupt now
         cursor = connection.raw.execute("SELECT COUNT(*) FROM hard")
         assert cursor.fetchone() == (ROWS,)
+        connection.close()
+
+    def test_late_timer_callback_after_exit_is_disarmed(self, fake_timers):
+        # Timer.cancel() cannot stop a timer thread already past its
+        # wait; the callback may run after the scope has exited, and
+        # must then not interrupt the connection's next statement.
+        raw = _CountingConnection()
+        with sqlite_interrupt(raw, Deadline.after_ms(10_000)):
+            pass
+        (timer,) = fake_timers
+        timer.function()
+        assert raw.interrupts == 0
+
+    def test_watchdog_never_covers_a_driver_write(self, fake_timers):
+        # sqlite answers an interrupt that lands on a write by rolling
+        # back the caller's whole open transaction, so the catalog's
+        # first-use DDL must run before the watchdog is armed.
+        connection = repro.connect(":memory:")
+        connection.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        connection.execute("INSERT INTO t VALUES (1, 2)")  # left uncommitted
+        armed: list[str] = []
+
+        def trace(sql: str) -> None:
+            if fake_timers:
+                armed.append(sql)
+
+        connection.raw.set_trace_callback(trace)
+        connection.execute(
+            "SELECT * FROM t PREFERRING LOWEST(a) AND LOWEST(b)", timeout_ms=10_000
+        ).fetchall()
+        assert armed, "the query ran before the watchdog was armed"
+        writes = [
+            sql for sql in armed if sql.split()[0].upper() in {"CREATE", "INSERT"}
+        ]
+        assert writes == []
         connection.close()
 
 

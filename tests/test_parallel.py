@@ -19,7 +19,7 @@ from repro.engine.algorithms import (
     nested_loop_maximal,
 )
 from repro.engine.bmo import bmo_filter
-from repro.engine.compiled import best_better, flat_rank_rows
+from repro.engine.compiled import best_better
 from repro.engine.parallel import (
     ParallelExecutor,
     default_worker_count,
@@ -105,30 +105,6 @@ class TestPartitionMergeLemma:
 
 
 class TestFlatRankRows:
-    def test_flat_pareto_compiles(self):
-        preference = build_preference(parse_preferring("LOWEST(a) AND HIGHEST(b)"))
-        rows, mode = flat_rank_rows(preference, [(1, 2), (3, 4)])
-        assert mode == "pareto"
-        assert len(rows) == 2 and len(rows[0]) == 2
-
-    def test_single_base_is_cascade(self):
-        preference = build_preference(parse_preferring("LOWEST(a)"))
-        rows, mode = flat_rank_rows(preference, [(5,), (1,)])
-        assert mode == "cascade"
-        assert rows[1] < rows[0]
-
-    def test_nested_tree_returns_none(self):
-        preference = build_preference(
-            parse_preferring("(LOWEST(a) AND LOWEST(b)) CASCADE HIGHEST(a)")
-        )
-        assert flat_rank_rows(preference, [(1, 2, 3), (4, 5, 6)]) is None
-
-    def test_explicit_returns_none(self):
-        preference = build_preference(
-            parse_preferring("EXPLICIT(c, 'x' > 'y')")
-        )
-        assert flat_rank_rows(preference, [("x",), ("y",)]) is None
-
     def test_unparseable_text_ranks_as_null_rank_on_both_paths(self):
         # Built-ins never rank to NaN: unparseable text maps to NULL_RANK,
         # which is totally ordered (worst) — both paths agree.

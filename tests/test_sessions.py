@@ -647,6 +647,20 @@ class TestSessionExecution:
         assert not cursor.plan.session_match.servable
         assert sorted(cursor.fetchall()) == _fresh_rows(strengthened)
 
+    def test_quality_function_surface_not_served(self, cars_connection):
+        # Quality adornments keep host-database result types, so such a
+        # query never runs in memory: the match is report-only.
+        con = cars_connection
+        con.execute(BASE_Q).fetchall()
+        adorned = BASE_Q.replace("SELECT *", "SELECT id, TOP(price)") + (
+            " CASCADE make IN ('vw')"
+        )
+        cursor = con.execute(adorned)
+        assert cursor.plan.strategy != SESSION_STRATEGY
+        assert not cursor.plan.session_match.servable
+        assert "needs the host database" in cursor.plan.session_match.relation
+        assert sorted(cursor.fetchall()) == _fresh_rows(adorned)
+
     def test_dimension_swap_not_served(self, cars_connection):
         con = cars_connection
         con.execute(BASE_Q).fetchall()
@@ -664,7 +678,6 @@ class TestSessionExecution:
         assert rows["refinement relation"].startswith("refines cached result")
         assert "cascade tie-breaker appended" in rows["refinement relation"]
         assert "re-winnow" in rows["session reuse"]
-        assert "cost: session" in rows
         report = con.explain(refined)
         assert "session reuse" in report
 
@@ -769,6 +782,40 @@ class TestCacheTierInterplay:
         # replay a session plan whose entry may have moved.
         second = con.execute(refined)
         assert sorted(second.fetchall()) == _fresh_rows(refined)
+
+    def test_cached_refinement_plan_served_without_planning(
+        self, cars_connection, monkeypatch
+    ):
+        # The refinement runs first, so its own plan sits in the plan
+        # cache; once the base query has stored a winner base, the next
+        # execution is served from the session cache before any planning.
+        import repro.driver.dbapi as dbapi
+
+        con = cars_connection
+        refined = BASE_Q + " CASCADE make IN ('vw')"
+        assert con.execute(refined).plan.strategy != SESSION_STRATEGY
+        con.execute(BASE_Q).fetchall()
+        calls = []
+        original = dbapi.plan_statement
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dbapi, "plan_statement", counting)
+        hits = con.plan_cache_stats().hits
+        cursor = con.execute(refined)
+        assert cursor.plan.strategy == SESSION_STRATEGY
+        assert calls == []
+        assert con.plan_cache_stats().hits == hits + 1
+        reference = repro.connect(":memory:")
+        try:
+            _make_cars(reference)
+            reference.session_reuse = False
+            expected = sorted(reference.execute(refined).fetchall())
+        finally:
+            reference.close()
+        assert sorted(cursor.fetchall()) == expected
 
     def test_rebind_refuses_session_plans(self, cars_connection):
         con = cars_connection
